@@ -19,10 +19,10 @@ from .catcode import (
     SyndromeClass,
     ZeroProbabilityClassError,
     cat_rate,
+    cat_rates,
     induced_channel,
     joint_prob,
     joint_prob_hetero,
-    joint_prob_hetero_grouped,
     logical_z_flip_prob,
     syndrome_classes,
 )
@@ -31,6 +31,7 @@ from .concat import (
     ConcatSpec,
     InducedEnsemble,
     concat_rate,
+    concat_rates,
     induced_ensemble,
 )
 from .degradable import (
@@ -52,6 +53,7 @@ from .search import (
     best_length_scan,
     best_threshold_scan,
     code_rate,
+    code_rates,
     rule_of_thumb_lengths,
     threshold,
 )

@@ -4,8 +4,13 @@ An m-qubit cat code (repetition code) has stabilizers Z1Z2, ..., Z1Zm.  For a
 Pauli channel the joint probability of a logical error and one specific
 syndrome vector depends only on the syndrome's Hamming weight r, so all
 quantities are computed over the m weight classes instead of the 2^(m-1)
-syndrome vectors.  Products are carried in signed log arithmetic so lengths in
-the thousands do not underflow.
+syndrome vectors.
+
+`cat_rate` and `cat_rates` evaluate the rate with the shared numpy kernel
+(`_kernel`), whose one-class case is exactly the sum over weight classes.
+`joint_prob`, `joint_prob_hetero`, `syndrome_classes` and `induced_channel`
+are the reference path: scalar signed-log arithmetic (`slog`), one class at a
+time, which the tests and `catcodes verify` check against brute force.
 """
 
 from __future__ import annotations
@@ -13,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import Basis, PauliChannel, entropy4, permute_basis
+import numpy as np
+
+from . import _kernel
+from .channels import Basis, PauliChannel, permute_basis
 from .slog import SLOG_ZERO, SignedLog, slog_pow
 
 # (u, v) logical-error labels in channel-slot order: identity, X, Y, Z.
@@ -93,45 +101,34 @@ def joint_prob(ch: PauliChannel, m: int, u: int, v: int, r: int) -> SignedLog:
     return HALF * (first + second)
 
 
-def joint_prob_hetero_grouped(groups, v: int) -> SignedLog:
-    """Grouped heterogeneous joint probability.
-
-    groups is an iterable of (channel, count, flipped) triples: `count` qubits
-    carry `channel` (already Z-frame permuted) and `flipped` of them have their
-    amplitude-flip indicator set.  Returns
-    1/2 [ prod alpha_i + (-1)^v prod beta_i ] where a flipped position
-    contributes (q_x, p_x - p_y) and an unflipped one (1-q_x, 1-q_x-2 p_z).
-    """
-    first = SignedLog(1, 0.0)
-    second = SignedLog(1, 0.0)
-    for ch, count, flipped in groups:
-        if not 0 <= flipped <= count:
-            raise ValueError(f"flipped count {flipped} outside [0, {count}]")
-        q_x = ch.q_x
-        first = first * slog_pow(q_x, flipped) * slog_pow(1.0 - q_x, count - flipped)
-        second = (
-            second
-            * slog_pow(ch.p_x - ch.p_y, flipped)
-            * slog_pow(1.0 - q_x - 2.0 * ch.p_z, count - flipped)
-        )
-    if v == 1:
-        second = -second
-    return HALF * (first + second)
-
-
 def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
     """Joint probability for position-dependent channels and a specific syndrome.
 
-    chs has length m; syndrome holds the m-1 stabilizer bits s_2..s_m.  The
-    flip indicator of qubit 1 is u and of qubit l is u xor s_l.
+    chs has length m, each channel already Z-frame permuted; syndrome holds
+    the m-1 stabilizer bits s_2..s_m.  The flip indicator of qubit 1 is u and
+    of qubit l is u xor s_l.  Returns 1/2 [ prod alpha_l + (-1)^v prod beta_l ]
+    where a flipped qubit contributes (q_x, p_x - p_y) and an unflipped one
+    (1-q_x, 1-q_x-2 p_z).
     """
     chs = list(chs)
     syndrome = list(syndrome)
     if len(syndrome) != len(chs) - 1:
         raise ValueError(f"expected {len(chs) - 1} syndrome bits, got {len(syndrome)}")
-    flips = [u] + [u ^ int(s) for s in syndrome]
-    groups = [(ch, 1, f) for ch, f in zip(chs, flips)]
-    return joint_prob_hetero_grouped(groups, v)
+    first = SignedLog(1, 0.0)
+    second = SignedLog(1, 0.0)
+    for ch, flipped in zip(chs, [u] + [u ^ int(s) for s in syndrome]):
+        if flipped not in (0, 1):
+            raise ValueError(f"flip indicator {flipped} is not 0 or 1")
+        q_x = ch.q_x
+        first = first * slog_pow(q_x, flipped) * slog_pow(1.0 - q_x, 1 - flipped)
+        second = (
+            second
+            * slog_pow(ch.p_x - ch.p_y, flipped)
+            * slog_pow(1.0 - q_x - 2.0 * ch.p_z, 1 - flipped)
+        )
+    if v == 1:
+        second = -second
+    return HALF * (first + second)
 
 
 def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
@@ -159,20 +156,19 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
     return PauliChannel(*cond)
 
 
+def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
+    """Rates of the cat code on each channel of `chs`, evaluated as one batch.
+
+    Achievable rate in qubits per channel use, per Eq.-(5)-style conditional
+    coherent-information accounting over syndrome weight classes.
+    """
+    probs = np.array([permute_basis(ch, spec.basis).probs for ch in chs])
+    return _kernel.rate_sums(_kernel.physical(probs), spec.m) / spec.m
+
+
 def cat_rate(ch: PauliChannel, spec: CatCodeSpec) -> float:
-    """Achievable rate (qubits per channel use) of the cat code, per Eq.-(5)-style
-    conditional coherent-information accounting over syndrome weight classes."""
-    chp = permute_basis(ch, spec.basis)
-    total_p = 0.0
-    total_h = 0.0
-    for sc in syndrome_classes(chp, spec.m):
-        lw = sc.log_class_weight()
-        if lw == -math.inf:
-            continue
-        weight = math.exp(lw)
-        total_p += weight
-        total_h += weight * entropy4(induced_channel(sc).probs)
-    return (total_p - total_h) / spec.m
+    """Achievable rate (qubits per channel use) of the cat code on one channel."""
+    return float(cat_rates([ch], spec)[0])
 
 
 def logical_z_flip_prob(q_z: float, m: int) -> float:

@@ -96,6 +96,10 @@ def hashing_rate(ch: PauliChannel) -> float:
     return 1.0 - entropy4(ch.probs)
 
 
+# Slot order (I, X, Y, Z) after the relabelling of permute_basis, per basis.
+BASIS_SLOTS = {Basis.Z: (0, 1, 2, 3), Basis.X: (0, 3, 2, 1), Basis.Y: (0, 1, 3, 2)}
+
+
 def permute_basis(ch: PauliChannel, basis: Basis) -> PauliChannel:
     """Relabel error operators so a cat code in `basis` reduces to the Z-basis formulas.
 
@@ -105,9 +109,7 @@ def permute_basis(ch: PauliChannel, basis: Basis) -> PauliChannel:
     """
     if basis is Basis.Z:
         return ch
-    if basis is Basis.X:
-        return PauliChannel(ch.p_i, ch.p_z, ch.p_y, ch.p_x)
-    return PauliChannel(ch.p_i, ch.p_x, ch.p_z, ch.p_y)
+    return PauliChannel(*(ch.probs[i] for i in BASIS_SLOTS[basis]))
 
 
 @dataclass(frozen=True)

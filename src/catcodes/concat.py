@@ -6,25 +6,21 @@ inner syndromes are kept as side information, the rate is a weighted average
 over assignments of inner classes to blocks.  Assignments are grouped by
 composition (how many blocks carry each class) and, within a composition, by
 per-class flipped-block counts, so the cost is polynomial in the outer length
-for a fixed inner length instead of exponential in the block count.
+for a fixed inner length instead of exponential in the block count.  Both the
+induced ensemble and the outer sum are computed by the numpy kernel shared
+with single-level cat codes (`_kernel`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .channels import (
-    NOISELESS,
-    Basis,
-    InvalidDistributionError,
-    PauliChannel,
-    permute_basis,
-)
-from .catcode import CatCodeSpec, cat_rate, induced_channel, syndrome_classes
+from . import _kernel
+from .channels import BASIS_SLOTS, Basis, PauliChannel, permute_basis
+from .catcode import CatCodeSpec
 
 DEFAULT_MAX_COMPOSITIONS = 10_000_000
 
@@ -75,52 +71,29 @@ class InducedEnsemble:
         return tuple(c for _, c in self.entries)
 
 
-def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> InducedEnsemble:
-    """Ensemble of induced logical channels of the cat code, one per weight class."""
+def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
     # A length-1 code has no stabilizers; its logical frame is the physical one,
     # so the basis label is ignored and the degenerate reduction returns the
     # input channel unchanged.
-    chp = permute_basis(ch, spec.basis) if spec.m > 1 else ch
-    entries = []
-    degenerate = []
-    for sc in syndrome_classes(chp, spec.m):
-        lw = sc.log_class_weight()
-        if lw == -math.inf:
-            entries.append((0.0, NOISELESS))
-            degenerate.append(True)
-        else:
-            entries.append((math.exp(lw), induced_channel(sc)))
-            degenerate.append(False)
-    return InducedEnsemble(tuple(entries), spec.m, spec.basis, tuple(degenerate))
+    return np.array([(permute_basis(ch, spec.basis) if spec.m > 1 else ch).probs for ch in chs])
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> InducedEnsemble:
+    """Ensemble of induced logical channels of the cat code, one per weight class."""
+    log_w, cond = _kernel.inner_ensemble(_inner_probs([ch], spec), spec.m)
+    log_w, cond = log_w[:, 0].tolist(), cond[:, 0].tolist()
+    entries = tuple((math.exp(lw), PauliChannel(*c)) for lw, c in zip(log_w, cond))
+    degenerate = tuple(lw == -math.inf for lw in log_w)
+    return InducedEnsemble(entries, spec.m, spec.basis, degenerate)
 
 
-def _grid(vectors: list[np.ndarray]) -> np.ndarray:
-    n = len(vectors)
-    shaped = [v.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, v in enumerate(vectors)]
-    return reduce(np.multiply, shaped)
-
-
-def _grid_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    n = len(vectors)
-    shaped = [v.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, v in enumerate(vectors)]
-    return reduce(np.add, shaped)
-
-
-def concat_rate(
-    ch: PauliChannel,
+def concat_rates(
+    chs,
     spec: ConcatSpec,
     max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-) -> float:
-    """Rate (qubits per physical channel use) of the concatenated code, exact.
+) -> np.ndarray:
+    """Rates (qubits per physical channel use) of the concatenated code on each
+    channel of `chs`, exact, evaluated as one batch.
 
     Enumerates compositions of the outer length over inner syndrome classes in
     lexicographic order with multinomial weights, then per-class flipped-block
@@ -131,62 +104,15 @@ def concat_rate(
     n_comps = math.comb(big_m + n - 1, n - 1)
     if n_comps > max_compositions:
         raise CompositionLimitError(n_comps, max_compositions)
+    log_w, cond = _kernel.inner_ensemble(_inner_probs(chs, spec.inner), n)
+    outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
+    return _kernel.rate_sums(_kernel.Ensemble.from_probs(outer, log_w), big_m) / (n * big_m)
 
-    ens = induced_ensemble(ch, spec.inner)
-    chans = [permute_basis(c, spec.outer.basis) for c in ens.channels]
-    log_w = [math.log(w) if w > 0.0 else -math.inf for w in ens.weights]
 
-    # Per class t and flipped count j in 0..k: factors of the two signed
-    # products in the heterogeneous joint formula, plus binomial counts.
-    alpha = np.array([c.q_x for c in chans])
-    abar = 1.0 - alpha
-    beta = np.array([c.p_x - c.p_y for c in chans])
-    bbar = np.array([1.0 - c.q_x - 2.0 * c.p_z for c in chans])
-
-    log_m = math.log(big_m)
-    total_p = 0.0
-    total_h = 0.0
-    for comp in _compositions(big_m, n):
-        active = [t for t in range(n) if comp[t] > 0]
-        lw = sum(comp[t] * log_w[t] for t in active)
-        if lw == -math.inf:
-            continue
-        log_mult = math.lgamma(big_m + 1) - sum(math.lgamma(comp[t] + 1) for t in active)
-        factor = math.exp(lw + log_mult - log_m)
-
-        va0, va1, vb0, vb1, vc, vj = [], [], [], [], [], []
-        for t in active:
-            k = comp[t]
-            j = np.arange(k + 1)
-            va0.append(alpha[t] ** j * abar[t] ** (k - j))
-            va1.append(alpha[t] ** (k - j) * abar[t] ** j)
-            vb0.append(beta[t] ** j * bbar[t] ** (k - j))
-            vb1.append(beta[t] ** (k - j) * bbar[t] ** j)
-            vc.append(np.array([float(math.comb(k, int(x))) for x in j]))
-            vj.append(j.astype(float))
-
-        a0, a1 = _grid(va0), _grid(va1)
-        b0, b1 = _grid(vb0), _grid(vb1)
-        # Number of (assignment, syndrome) pairs per flip-count cell: the
-        # first block is never flipped in the u=0 representative, which
-        # contributes the (M - |flips|) / M factor.
-        count = _grid(vc) * (big_m - _grid_sum(vj))
-        ptot = a0 + a1
-        joints = (0.5 * (a0 + b0), 0.5 * (a1 + b1), 0.5 * (a1 - b1), 0.5 * (a0 - b0))
-
-        good = ptot > 0.0
-        safe = np.where(good, ptot, 1.0)
-        h = np.zeros_like(ptot)
-        for joint in joints:
-            c = np.where(good, joint / safe, 0.0)
-            if np.any(c < -1e-12):
-                raise InvalidDistributionError(
-                    f"conditional probability {c.min()} negative beyond tolerance"
-                )
-            c = np.clip(c, 0.0, 1.0)
-            h -= np.where(c > 0.0, c * np.log2(np.where(c > 0.0, c, 1.0)), 0.0)
-
-        total_p += factor * float(np.sum(count * ptot))
-        total_h += factor * float(np.sum(count * ptot * h))
-
-    return (total_p - total_h) / (n * big_m)
+def concat_rate(
+    ch: PauliChannel,
+    spec: ConcatSpec,
+    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
+) -> float:
+    """Rate (qubits per physical channel use) of the concatenated code, exact."""
+    return float(concat_rates([ch], spec, max_compositions=max_compositions)[0])

@@ -6,9 +6,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .channels import Basis, ChannelFamily, evaluate_family, hashing_rate
-from .catcode import CatCodeSpec, cat_rate
-from .concat import DEFAULT_MAX_COMPOSITIONS, ConcatSpec, concat_rate
+from .catcode import CatCodeSpec, cat_rate, cat_rates
+from .concat import DEFAULT_MAX_COMPOSITIONS, ConcatSpec, concat_rate, concat_rates
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
 
@@ -53,6 +55,22 @@ def code_rate(
     return cat_rate(ch, code)
 
 
+def code_rates(
+    family: ChannelFamily,
+    code: CodeSpec,
+    ps,
+    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
+) -> np.ndarray:
+    """`code_rate` at every p of `ps`, evaluated as one batch; each value equals,
+    bit for bit, the rate at that p evaluated alone."""
+    chs = [evaluate_family(family, p) for p in ps]
+    if code is None:
+        return np.array([hashing_rate(ch) for ch in chs])
+    if isinstance(code, ConcatSpec):
+        return concat_rates(chs, code, max_compositions=max_compositions)
+    return cat_rates(chs, code)
+
+
 def threshold(
     family: ChannelFamily,
     code: CodeSpec,
@@ -67,7 +85,8 @@ def threshold(
     bisection to width <= tol.  A coarse pre-scan (pre_scan_points over the
     admissible range; 0 disables it) guards the single-crossing assumption:
     if several sign changes appear, the largest crossing is refined and the
-    result carries a warning.
+    result carries a warning.  p = 0 and the pre-scan points are evaluated as
+    one batch (`code_rates`); every point counts as one evaluation.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -79,14 +98,18 @@ def threshold(
         return code_rate(family, code, p, max_compositions=max_compositions)
 
     p_max = family.p_max
-    if rate(0.0) <= 0.0:
+    grid = [p_max * (i + 1) / pre_scan_points for i in range(pre_scan_points)]
+    if grid:
+        evals += 1 + len(grid)
+        at_zero, *values = code_rates(family, code, [0.0] + grid, max_compositions=max_compositions)
+    else:
+        at_zero = rate(0.0)
+    if at_zero <= 0.0:
         raise NoBracketError("rate is not positive at p = 0")
 
     warning = None
     bracket = None
-    if pre_scan_points > 0:
-        grid = [p_max * (i + 1) / pre_scan_points for i in range(pre_scan_points)]
-        values = [rate(p) for p in grid]
+    if grid:
         crossings = []
         prev_p, prev_v = 0.0, 1.0
         for p, v in zip(grid, values):

@@ -1,8 +1,12 @@
-"""Sign-plus-log representation of reals for underflow-safe probability algebra.
+"""Sign-plus-log ("signed logarithm") scalars for the reference path.
 
 The cat-code joint distribution is a difference of two products of m factors;
 for large m the products underflow double precision and the second product can
-be negative, so values are carried as (sign, log|value|).
+be negative, so values are carried as (sign, log|value|).  `catcode`'s
+reference functions (`joint_prob`, `joint_prob_hetero`, `syndrome_classes`,
+`induced_channel`) use these scalars one weight class at a time; the tests and
+`catcodes verify` check them against brute force.  The rates themselves come
+from the vectorized kernel (`_kernel`), which does not use this module.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from catcodes import (
 )
 from catcodes.oracle import JointTable, enumerate_joint, oracle_cat_rate
 
-from conftest import random_channels
+from conftest import EDGE_CHANNELS, random_channels
 
 UV = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -174,7 +174,7 @@ class TestCatRate:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("basis", list(Basis))
     def test_matches_enumeration(self, m, basis, channels20):
-        for ch in channels20:
+        for ch in channels20 + EDGE_CHANNELS:
             got = cat_rate(ch, CatCodeSpec(m, basis))
             want = oracle_cat_rate([ch] * m, basis)
             assert got == pytest.approx(want, abs=1e-10)

@@ -20,6 +20,8 @@ from catcodes.oracle import (
     oracle_concat_rate_physical,
 )
 
+from conftest import EDGE_CHANNELS
+
 
 DEPOL_19 = evaluate_family(make_family("depolarizing"), 0.19)
 
@@ -95,7 +97,7 @@ class TestConcatRate:
         self, inner_m, inner_b, outer_m, outer_b, channels20
     ):
         spec = ConcatSpec(CatCodeSpec(inner_m, inner_b), CatCodeSpec(outer_m, outer_b))
-        for ch in (DEPOL_19, channels20[0], channels20[1], channels20[2]):
+        for ch in [DEPOL_19, channels20[0], channels20[1], channels20[2]] + EDGE_CHANNELS:
             got = concat_rate(ch, spec)
             want = oracle_concat_rate(ch, spec.inner, spec.outer)
             assert got == pytest.approx(want, abs=1e-9)

@@ -1,0 +1,114 @@
+"""Tests for the batched rate kernel: high-precision values at length 4096,
+and batch results equal to single-point results bit for bit."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import catcodes.search as search
+from catcodes import (
+    Basis,
+    CatCodeSpec,
+    ConcatSpec,
+    cat_rate,
+    code_rate,
+    code_rates,
+    evaluate_family,
+    make_family,
+    threshold,
+)
+
+DEPOL = make_family("depolarizing")
+NINE_TO_ONE = make_family("independent_xz_ratio", {"ratio": 9.0})
+HUNDRED_TO_ONE = make_family("independent_xz_ratio", {"ratio": 100.0})
+BATCH = [0.0] + [(i + 1) / 64 for i in range(64)]
+
+
+def mp_cat_rate(ch, m: int, dps: int = 60):
+    """Cat rate by direct summation over the m weight classes in mpmath."""
+    with mpmath.workdps(dps):
+        p_i, p_x, p_y, p_z = (mpmath.mpf(v) for v in ch.probs)
+        alpha, abar, beta, bbar = p_x + p_y, p_i + p_z, p_x - p_y, p_i - p_z
+        acc = mpmath.mpf(0)
+        mult = mpmath.mpf(1)  # C(m - 1, r)
+        for r in range(m):
+            if r:
+                mult = mult * (m - r) / r
+            a0, a1 = alpha**r * abar ** (m - r), alpha ** (m - r) * abar**r
+            b0, b1 = beta**r * bbar ** (m - r), beta ** (m - r) * bbar**r
+            total = a0 + a1
+            if total == 0:
+                continue
+            h = mpmath.mpf(0)
+            for joint in (a0 + b0, a1 + b1, a1 - b1, a0 - b0):
+                c = joint / (2 * total)
+                if c > 0:
+                    h -= c * mpmath.log(c, 2)
+            acc += mult * total * (1 - h)
+        return acc / m
+
+
+@pytest.mark.parametrize(
+    "family,p",
+    [
+        (NINE_TO_ONE, 0.005),
+        (NINE_TO_ONE, 0.012669120820529128),
+        (NINE_TO_ONE, 0.015),
+        (NINE_TO_ONE, 0.02),
+        (HUNDRED_TO_ONE, 0.01665125376318335),
+    ],
+)
+def test_length_4096_matches_high_precision(family, p):
+    # These points used to raise InvalidDistributionError: the conditional
+    # probabilities summed to 1 -/+ 1.5e-12, past PauliChannel's check.
+    ch = evaluate_family(family, p)
+    got = cat_rate(ch, CatCodeSpec(4096))
+    assert math.isfinite(got)
+    assert abs(got - mp_cat_rate(ch, 4096)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        None,
+        CatCodeSpec(1),
+        CatCodeSpec(5),
+        CatCodeSpec(40),
+        CatCodeSpec(4096),
+        ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(5, Basis.X)),
+        ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X)),
+    ],
+)
+@pytest.mark.parametrize("family", [DEPOL, NINE_TO_ONE])
+def test_batch_equals_single_point_bit_for_bit(family, code):
+    batch = code_rates(family, code, BATCH)
+    single = [code_rate(family, code, p) for p in BATCH]
+    assert all(math.isfinite(v) for v in single)
+    assert batch.tolist() == single
+
+
+@pytest.mark.parametrize(
+    "family,code",
+    [
+        (DEPOL, None),
+        (DEPOL, CatCodeSpec(5)),
+        (DEPOL, ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(5, Basis.X))),
+        (NINE_TO_ONE, CatCodeSpec(33)),
+    ],
+)
+def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
+    batched = threshold(family, code, tol=1e-6)
+
+    def pointwise(family, code, ps, **kwargs):
+        return np.array([code_rate(family, code, p, **kwargs) for p in ps])
+
+    monkeypatch.setattr(search, "code_rates", pointwise)
+    single = threshold(family, code, tol=1e-6)
+    assert (batched.p_star, batched.bracket, batched.evaluations, batched.warning) == (
+        single.p_star,
+        single.bracket,
+        single.evaluations,
+        single.warning,
+    )

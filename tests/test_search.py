@@ -78,6 +78,7 @@ class TestThreshold:
 
     def test_no_bracket_when_rate_stays_positive(self, monkeypatch):
         monkeypatch.setattr(search, "code_rate", lambda *a, **k: 1.0)
+        monkeypatch.setattr(search, "code_rates", lambda family, code, ps, **k: [1.0] * len(ps))
         with pytest.raises(NoBracketError):
             threshold(DEPOL, CatCodeSpec(1), tol=1e-6)
 
