@@ -162,6 +162,8 @@ def rate_sums(ens: Ensemble, big_m: int) -> np.ndarray:
     """Sum of w (1 - h) over all cells at each of the P points: the rate times
     the number of physical qubits per logical qubit."""
     n, points = ens.log_w.shape
+    if not points:
+        return np.zeros(0)
     q, r = divmod(big_m, n)
     max_cells = (q + 2) ** r * (q + 1) ** (n - r)  # of the most balanced composition
     chunks = -(-points * max_cells // CELL_BUDGET)

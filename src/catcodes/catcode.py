@@ -162,7 +162,7 @@ def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
     Achievable rate in qubits per channel use, per Eq.-(5)-style conditional
     coherent-information accounting over syndrome weight classes.
     """
-    probs = np.array([permute_basis(ch, spec.basis).probs for ch in chs])
+    probs = np.array([permute_basis(ch, spec.basis).probs for ch in chs]).reshape(-1, 4)
     return _kernel.rate_sums(_kernel.physical(probs), spec.m) / spec.m
 
 

@@ -28,7 +28,7 @@ from .channels import (
     evaluate_family,
     make_family,
 )
-from .catcode import CatCodeSpec, ZeroProbabilityClassError, cat_rate
+from .catcode import CatCodeSpec, ZeroProbabilityClassError, cat_rate, cat_rates
 from .concat import CompositionLimitError, ConcatSpec, concat_rate
 from .degradable import degradability_verdict, kraus_from_pauli
 from .oracle import (
@@ -37,7 +37,7 @@ from .oracle import (
     oracle_concat_rate,
     oracle_concat_rate_physical,
 )
-from .search import NoBracketError, best_length_scan, code_rate, threshold
+from .search import NoBracketError, best_length_scan, threshold
 
 CSV_SCHEMA = "catcodes-csv v1"
 MAX_CAT_LENGTH = 4096
@@ -238,7 +238,7 @@ def _open_out(path: Optional[str]):
 
 
 def _write_csv(args, command: str, config: str, header: list[str], rows) -> None:
-    out, close = _open_out(getattr(args, "out", None))
+    out, close = _open_out(args.out)
     try:
         out.write(f"# {CSV_SCHEMA} | command={command} | {config}\n")
         out.write(",".join(header) + "\n")
@@ -268,7 +268,7 @@ def cmd_rate(args) -> int:
     code = parse_code_spec(args.code)
     ch = chspec.channel()
     if isinstance(code, ConcatSpec):
-        value = concat_rate(ch, code, max_compositions=args.max_compositions)
+        value = concat_rate(ch, code)
     else:
         value = cat_rate(ch, code)
     if args.json:
@@ -281,7 +281,7 @@ def cmd_rate(args) -> int:
 def cmd_threshold(args) -> int:
     chspec = parse_channel_spec(args.channel)
     code = parse_code_spec(args.code)
-    res = threshold(chspec.family, code, tol=args.tol, max_compositions=args.max_compositions)
+    res = threshold(chspec.family, code, tol=args.tol)
     if args.json:
         rec = {
             "p_star": res.p_star,
@@ -298,11 +298,6 @@ def cmd_threshold(args) -> int:
         if res.warning:
             print(f"warning: {res.warning}", file=sys.stderr)
     return EXIT_OK
-
-
-def _scan_rate(task) -> float:
-    family, code, p, max_comp = task
-    return code_rate(family, code, p, max_compositions=max_comp)
 
 
 def cmd_scan_m(args) -> int:
@@ -334,13 +329,19 @@ def cmd_scan_m(args) -> int:
     return EXIT_OK
 
 
-def _figure1_cell(task) -> tuple[float, int, float]:
-    family, m, basis, p = task
+def _grid_channel(family: ChannelFamily, p: float) -> Optional[PauliChannel]:
     try:
-        ch = evaluate_family(family, p)
-        return (p, m, cat_rate(ch, CatCodeSpec(m, basis)))
+        return evaluate_family(family, p)
     except NoSolutionError:
-        return (p, m, math.nan)
+        return None
+
+
+def _figure1_column(task) -> list[float]:
+    """Rates of one cat code at every channel of the grid, evaluated as one
+    batch; nan where p has no channel."""
+    code, chs = task
+    rates = iter(cat_rates([ch for ch in chs if ch is not None], code).tolist())
+    return [math.nan if ch is None else next(rates) for ch in chs]
 
 
 def cmd_figure1(args) -> int:
@@ -350,8 +351,9 @@ def cmd_figure1(args) -> int:
         raise SpecParseError("figure1 uses single-level cat codes", args.code, 0)
     ms = _parse_range(args.m_range, "m-range")
     ps = _parse_p_grid(args.p_grid)
-    tasks = [(chspec.family, m, code.basis, p) for p in ps for m in ms]
-    rows = _map(args, _figure1_cell, tasks)
+    chs = [_grid_channel(chspec.family, p) for p in ps]
+    columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), chs) for m in ms])
+    rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
     config = (
         f"channel={format_channel_spec(chspec.family, None)} | basis={code.basis.value}"
         f" | m-range={args.m_range} | p-grid={args.p_grid}"
@@ -361,9 +363,8 @@ def cmd_figure1(args) -> int:
 
 
 def _figure2_row(task) -> tuple:
-    label, outer_m, family, code, tol, max_comp = task
-    res = threshold(family, code, tol=tol, max_compositions=max_comp)
-    return (outer_m, label, res.p_star)
+    label, outer_m, family, code, tol = task
+    return (outer_m, label, threshold(family, code, tol=tol).p_star)
 
 
 def cmd_figure2(args) -> int:
@@ -374,21 +375,14 @@ def cmd_figure2(args) -> int:
     # use outer_m=0 with inner_spec "hashing" or "<m><basis>"; concatenated
     # rows read "<inner>Z-in-<outer>X".
     tasks = [
-        ("hashing", 0, family, CatCodeSpec(1), args.tol, args.max_compositions),
-        ("5Z", 0, family, CatCodeSpec(5), args.tol, args.max_compositions),
-        (
-            "5Z-in-5X",
-            5,
-            family,
-            ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(5, Basis.X)),
-            args.tol,
-            args.max_compositions,
-        ),
+        ("hashing", 0, family, CatCodeSpec(1), args.tol),
+        ("5Z", 0, family, CatCodeSpec(5), args.tol),
+        ("5Z-in-5X", 5, family, ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(5, Basis.X)), args.tol),
     ]
     for n in inners:
         for m in ms:
             code = ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(m, Basis.X))
-            tasks.append((f"{n}Z-in-{m}X", m, family, code, args.tol, args.max_compositions))
+            tasks.append((f"{n}Z-in-{m}X", m, family, code, args.tol))
     rows = _map(args, _figure2_row, tasks)
     config = (
         f"channel={format_channel_spec(family, None)} | inner={args.inner}"
@@ -457,58 +451,58 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# Flags shared by several subcommands; each subcommand takes only those it reads.
+FLAGS = {
+    "channel": dict(required=True, help="channel spec, e.g. depolarizing:p=0.19"),
+    "code": dict(required=True, help="code spec, e.g. cat:m=5,basis=Z"),
+    "json": dict(action="store_true", help="emit a JSON record"),
+    "out": dict(help="output file (default stdout)"),
+    "jobs": dict(type=int, default=0, help="parallel workers (0 = all cores)"),
+    "tol": dict(type=float, default=1e-6, help="threshold tolerance in p"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **FLAGS[name])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="catcodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, channel=True, code=False) -> None:
-        if channel:
-            p.add_argument("--channel", required=True, help="channel spec, e.g. depolarizing:p=0.19")
-        if code:
-            p.add_argument("--code", required=True, help="code spec, e.g. cat:m=5,basis=Z")
-        p.add_argument("--json", action="store_true", help="emit a JSON record")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--jobs", type=int, default=0, help="parallel workers (0 = all cores)")
-        p.add_argument(
-            "--max-compositions",
-            type=int,
-            default=10_000_000,
-            help="cap on grouped-enumeration size for concatenated codes",
-        )
-        p.add_argument("--tol", type=float, default=1e-6, help="threshold tolerance in p")
-
     p_rate = sub.add_parser("rate", help="rate of a code on a channel")
-    common(p_rate, code=True)
+    _add_flags(p_rate, "channel", "code", "json")
     p_rate.set_defaults(func=cmd_rate)
 
     p_thr = sub.add_parser("threshold", help="zero-rate noise threshold of a code")
-    common(p_thr, code=True)
+    _add_flags(p_thr, "channel", "code", "tol", "json")
     p_thr.set_defaults(func=cmd_threshold)
 
     p_scan = sub.add_parser("scan-m", help="cat rate vs length at fixed noise")
-    common(p_scan, code=True)
+    _add_flags(p_scan, "channel", "code", "json", "out")
     p_scan.add_argument("--p", type=float, help="noise level (defaults to the channel spec's p)")
     p_scan.add_argument("--m-range", default="1:40", help="lengths, a:b or comma list")
     p_scan.set_defaults(func=cmd_scan_m)
 
     p_f1 = sub.add_parser("figure1", help="CSV of cat rates over a p-grid and m-set")
-    common(p_f1, code=True)
+    _add_flags(p_f1, "channel", "code", "out", "jobs")
     p_f1.add_argument("--m-range", default="1:40", help="lengths, a:b or comma list")
     p_f1.add_argument("--p-grid", default="0.2:0.3:21", help="noise grid, lo:hi:count or comma list")
     p_f1.set_defaults(func=cmd_figure1)
 
     p_f2 = sub.add_parser("figure2", help="CSV of concatenated-code thresholds vs outer length")
-    common(p_f2)
+    _add_flags(p_f2, "channel", "out", "jobs", "tol")
     p_f2.add_argument("--m-range", default="2:10", help="outer lengths, a:b or comma list")
     p_f2.add_argument("--inner", default="3,5", help="inner lengths, comma list")
     p_f2.set_defaults(func=cmd_figure2)
 
     p_deg = sub.add_parser("degradability", help="(non-)degradability verdict for a channel")
-    common(p_deg)
+    _add_flags(p_deg, "channel", "json")
     p_deg.set_defaults(func=cmd_degradability)
 
     p_ver = sub.add_parser("verify", help="oracle-equivalence self checks")
-    p_ver.set_defaults(func=cmd_verify, json=False, out=None, jobs=1, max_compositions=10_000_000)
+    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -22,11 +22,12 @@ from . import _kernel
 from .channels import BASIS_SLOTS, Basis, PauliChannel, permute_basis
 from .catcode import CatCodeSpec
 
-DEFAULT_MAX_COMPOSITIONS = 10_000_000
+# Largest number of outer-block compositions one rate evaluation enumerates.
+MAX_COMPOSITIONS = 10_000_000
 
 
 class CompositionLimitError(RuntimeError):
-    """The grouped enumeration would exceed the configured composition cap."""
+    """The grouped enumeration would exceed `MAX_COMPOSITIONS`."""
 
     def __init__(self, count: int, cap: int):
         super().__init__(f"{count} compositions exceed the cap of {cap}")
@@ -75,7 +76,8 @@ def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
     # A length-1 code has no stabilizers; its logical frame is the physical one,
     # so the basis label is ignored and the degenerate reduction returns the
     # input channel unchanged.
-    return np.array([(permute_basis(ch, spec.basis) if spec.m > 1 else ch).probs for ch in chs])
+    probs = [(permute_basis(ch, spec.basis) if spec.m > 1 else ch).probs for ch in chs]
+    return np.array(probs).reshape(-1, 4)
 
 
 def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> InducedEnsemble:
@@ -87,11 +89,7 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> InducedEnsemble:
     return InducedEnsemble(entries, spec.m, spec.basis, degenerate)
 
 
-def concat_rates(
-    chs,
-    spec: ConcatSpec,
-    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-) -> np.ndarray:
+def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:
     """Rates (qubits per physical channel use) of the concatenated code on each
     channel of `chs`, exact, evaluated as one batch.
 
@@ -102,17 +100,13 @@ def concat_rates(
     """
     n, big_m = spec.inner.m, spec.outer.m
     n_comps = math.comb(big_m + n - 1, n - 1)
-    if n_comps > max_compositions:
-        raise CompositionLimitError(n_comps, max_compositions)
+    if n_comps > MAX_COMPOSITIONS:
+        raise CompositionLimitError(n_comps, MAX_COMPOSITIONS)
     log_w, cond = _kernel.inner_ensemble(_inner_probs(chs, spec.inner), n)
     outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
     return _kernel.rate_sums(_kernel.Ensemble.from_probs(outer, log_w), big_m) / (n * big_m)
 
 
-def concat_rate(
-    ch: PauliChannel,
-    spec: ConcatSpec,
-    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-) -> float:
+def concat_rate(ch: PauliChannel, spec: ConcatSpec) -> float:
     """Rate (qubits per physical channel use) of the concatenated code, exact."""
-    return float(concat_rates([ch], spec, max_compositions=max_compositions)[0])
+    return float(concat_rates([ch], spec)[0])

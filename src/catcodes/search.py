@@ -10,9 +10,13 @@ import numpy as np
 
 from .channels import Basis, ChannelFamily, evaluate_family, hashing_rate
 from .catcode import CatCodeSpec, cat_rate, cat_rates
-from .concat import DEFAULT_MAX_COMPOSITIONS, ConcatSpec, concat_rate, concat_rates
+from .concat import ConcatSpec, concat_rate, concat_rates
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
+
+# Points of the coarse grid over the admissible range that `threshold` scans
+# for sign changes before it bisects.
+PRE_SCAN_POINTS = 64
 
 
 class NoBracketError(RuntimeError):
@@ -40,99 +44,63 @@ class ScanRow:
     threshold: Optional[float] = None
 
 
-def code_rate(
-    family: ChannelFamily,
-    code: CodeSpec,
-    p: float,
-    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-) -> float:
+def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
     """Rate of `code` on the family's channel at noise p; code=None means hashing."""
     ch = evaluate_family(family, p)
     if code is None:
         return hashing_rate(ch)
     if isinstance(code, ConcatSpec):
-        return concat_rate(ch, code, max_compositions=max_compositions)
+        return concat_rate(ch, code)
     return cat_rate(ch, code)
 
 
-def code_rates(
-    family: ChannelFamily,
-    code: CodeSpec,
-    ps,
-    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-) -> np.ndarray:
+def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
     """`code_rate` at every p of `ps`, evaluated as one batch; each value equals,
     bit for bit, the rate at that p evaluated alone."""
     chs = [evaluate_family(family, p) for p in ps]
     if code is None:
         return np.array([hashing_rate(ch) for ch in chs])
     if isinstance(code, ConcatSpec):
-        return concat_rates(chs, code, max_compositions=max_compositions)
+        return concat_rates(chs, code)
     return cat_rates(chs, code)
 
 
-def threshold(
-    family: ChannelFamily,
-    code: CodeSpec,
-    tol: float = 1e-6,
-    initial_step: float = 0.01,
-    pre_scan_points: int = 64,
-    max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-) -> ThresholdResult:
+def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> ThresholdResult:
     """Locate the noise level where the code's rate crosses zero.
 
-    A bracket is found by doubling from `initial_step`, then refined by
-    bisection to width <= tol.  A coarse pre-scan (pre_scan_points over the
-    admissible range; 0 disables it) guards the single-crossing assumption:
-    if several sign changes appear, the largest crossing is refined and the
-    result carries a warning.  p = 0 and the pre-scan points are evaluated as
-    one batch (`code_rates`); every point counts as one evaluation.
+    p = 0 and a coarse pre-scan of `PRE_SCAN_POINTS` over the admissible
+    range are evaluated as one batch (`code_rates`); every point counts as one
+    evaluation.  The pre-scan brackets the crossing and guards the
+    single-crossing assumption: if several sign changes appear, the largest
+    crossing is refined and the result carries a warning.  The bracket is
+    then refined by bisection to width <= tol.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    evals = 0
-
-    def rate(p: float) -> float:
-        nonlocal evals
-        evals += 1
-        return code_rate(family, code, p, max_compositions=max_compositions)
-
     p_max = family.p_max
-    grid = [p_max * (i + 1) / pre_scan_points for i in range(pre_scan_points)]
-    if grid:
-        evals += 1 + len(grid)
-        at_zero, *values = code_rates(family, code, [0.0] + grid, max_compositions=max_compositions)
-    else:
-        at_zero = rate(0.0)
+    grid = [p_max * (i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)]
+    evals = 1 + len(grid)
+    at_zero, *values = code_rates(family, code, [0.0] + grid)
     if at_zero <= 0.0:
         raise NoBracketError("rate is not positive at p = 0")
 
+    crossings = []
+    prev_p, prev_v = 0.0, 1.0
+    for p, v in zip(grid, values):
+        if prev_v > 0.0 >= v:
+            crossings.append((prev_p, p))
+        prev_p, prev_v = p, v
+    if not crossings:
+        raise NoBracketError("rate is positive across the admissible range")
     warning = None
-    bracket = None
-    if grid:
-        crossings = []
-        prev_p, prev_v = 0.0, 1.0
-        for p, v in zip(grid, values):
-            if prev_v > 0.0 >= v:
-                crossings.append((prev_p, p))
-            prev_p, prev_v = p, v
-        if not crossings:
-            raise NoBracketError("rate is positive across the admissible range")
-        if len(crossings) > 1:
-            warning = f"{len(crossings)} sign changes on the coarse grid; using the largest"
-        bracket = crossings[-1]
-    else:
-        lo, hi = 0.0, min(initial_step, p_max)
-        while rate(hi) > 0.0:
-            if hi >= p_max:
-                raise NoBracketError("rate is positive across the admissible range")
-            lo, hi = hi, min(2.0 * hi, p_max)
-        bracket = (lo, hi)
+    if len(crossings) > 1:
+        warning = f"{len(crossings)} sign changes on the coarse grid; using the largest"
 
-    lo, hi = bracket
+    lo, hi = crossings[-1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
+        evals += 1
+        if code_rate(family, code, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -163,7 +131,6 @@ def best_threshold_scan(
     basis: Basis,
     m_range,
     tol: float = 1e-6,
-    pre_scan_points: int = 64,
 ) -> tuple[list[ScanRow], int]:
     """Zero-rate threshold of each cat length; returns rows and the argmax m."""
     ms = sorted(set(int(m) for m in m_range))
@@ -171,7 +138,7 @@ def best_threshold_scan(
         raise ValueError("m_range is empty")
     rows = []
     for m in ms:
-        res = threshold(family, CatCodeSpec(m, basis), tol=tol, pre_scan_points=pre_scan_points)
+        res = threshold(family, CatCodeSpec(m, basis), tol=tol)
         rows.append(ScanRow(m, threshold=res.p_star))
     best = max(rows, key=lambda row: (row.threshold, -row.m))
     return rows, best.m

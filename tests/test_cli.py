@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from catcodes.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    build_parser,
     format_channel_spec,
     format_code_spec,
     main,
@@ -105,8 +110,6 @@ class TestExitCodes:
                 "depolarizing:p=0.19",
                 "--code",
                 "concat:inner=16Z,outer=16X",
-                "--max-compositions",
-                "10",
             ]
         )
         assert code == EXIT_RESOURCE
@@ -191,6 +194,38 @@ class TestCsvCommands:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("p_grid,no_channel", [("0.5,1.5", {1.5}), ("1.5,2", {1.5, 2.0})])
+    def test_figure1_nan_where_p_has_no_channel(self, tmp_path, p_grid, no_channel):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"fig1-{jobs}.csv"
+            code = main(
+                [
+                    "figure1",
+                    "--channel",
+                    "depolarizing:p=0.2",
+                    "--code",
+                    "cat:m=1",
+                    "--m-range",
+                    "1:3",
+                    "--p-grid",
+                    p_grid,
+                    "--jobs",
+                    jobs,
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = [line.split(",") for line in outputs[0].decode().splitlines()[2:]]
+        assert [(float(p), int(m)) for p, m, _ in rows] == [
+            (float(p), m) for p in p_grid.split(",") for m in (1, 2, 3)
+        ]
+        for p, _, rate in rows:
+            assert math.isnan(float(rate)) == (float(p) in no_channel)
+
     def test_figure2_rows_and_ordering(self, tmp_path):
         out = tmp_path / "fig2.csv"
         code = main(
@@ -239,3 +274,59 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+BASE_ARGS = {
+    "rate": ["rate", "--channel", "depolarizing:p=0.1", "--code", "hashing"],
+    "threshold": ["threshold", "--channel", "depolarizing:p=0", "--code", "hashing"],
+    "scan-m": ["scan-m", "--channel", "depolarizing:p=0.1", "--code", "cat:m=1"],
+    "figure1": ["figure1", "--channel", "depolarizing:p=0", "--code", "cat:m=1"],
+    "figure2": ["figure2", "--channel", "depolarizing:p=0"],
+    "degradability": ["degradability", "--channel", "two-pauli:p=0.25"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "rate --out rate.txt",
+            "rate --jobs 2",
+            "rate --max-compositions 10",
+            "rate --tol 1e-3",
+            "threshold --out threshold.txt",
+            "threshold --jobs 2",
+            "threshold --max-compositions 10",
+            "scan-m --jobs 2",
+            "scan-m --max-compositions 10",
+            "scan-m --tol 1e-3",
+            "figure1 --json",
+            "figure1 --max-compositions 10",
+            "figure1 --tol 1e-3",
+            "figure2 --json",
+            "figure2 --max-compositions 10",
+            "degradability --out verdict.txt",
+            "degradability --jobs 2",
+            "degradability --max-compositions 10",
+            "degradability --tol 1e-3",
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, extra, capsys):
+        command, *flag = extra.split()
+        build_parser().parse_args(BASE_ARGS[command])
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(BASE_ARGS[command] + flag)
+        assert err.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line interface", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", block, re.S).group(1)
+        lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        commands = [words[1:] for words in lines if words and words[0] == "catcodes"]
+        assert {argv[0] for argv in commands} == {
+            "rate", "threshold", "scan-m", "figure1", "figure2", "degradability", "verify"
+        }
+        for argv in commands:
+            build_parser().parse_args(argv)

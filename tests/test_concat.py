@@ -14,6 +14,7 @@ from catcodes import (
     induced_ensemble,
     make_family,
 )
+from catcodes.concat import MAX_COMPOSITIONS
 from catcodes.oracle import (
     enumerate_joint,
     oracle_concat_rate,
@@ -141,5 +142,5 @@ class TestConcatRate:
     def test_composition_cap_enforced(self):
         spec = ConcatSpec(CatCodeSpec(16), CatCodeSpec(16, Basis.X))
         with pytest.raises(CompositionLimitError) as err:
-            concat_rate(DEPOL_19, spec, max_compositions=10)
-        assert err.value.count > 10
+            concat_rate(DEPOL_19, spec)
+        assert err.value.count > MAX_COMPOSITIONS

@@ -87,6 +87,7 @@ def test_batch_equals_single_point_bit_for_bit(family, code):
     single = [code_rate(family, code, p) for p in BATCH]
     assert all(math.isfinite(v) for v in single)
     assert batch.tolist() == single
+    assert code_rates(family, code, []).tolist() == []
 
 
 @pytest.mark.parametrize(

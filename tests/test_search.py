@@ -54,24 +54,6 @@ class TestThreshold:
         res = threshold(TWO_PAULI, None, tol=1e-8)
         assert res.p_star == pytest.approx(HASHING_ZERO_TWO_PAULI, abs=1e-7)
 
-    def test_independent_of_initial_step(self):
-        results = [
-            threshold(
-                DEPOL,
-                CatCodeSpec(3),
-                tol=1e-7,
-                initial_step=step,
-                pre_scan_points=0,
-            ).p_star
-            for step in (0.001, 0.01, 0.3)
-        ]
-        assert max(results) - min(results) <= 2e-7
-
-    def test_prescan_and_doubling_agree(self):
-        a = threshold(DEPOL, CatCodeSpec(5), tol=1e-7).p_star
-        b = threshold(DEPOL, CatCodeSpec(5), tol=1e-7, pre_scan_points=0).p_star
-        assert a == pytest.approx(b, abs=2e-7)
-
     def test_cat_threshold_exceeds_hashing_threshold(self):
         res = threshold(DEPOL, CatCodeSpec(5), tol=1e-6)
         assert res.p_star > HASHING_ZERO_DEPOL
@@ -83,9 +65,9 @@ class TestThreshold:
             threshold(DEPOL, CatCodeSpec(1), tol=1e-6)
 
     def test_no_bracket_when_rate_negative_at_start(self, monkeypatch):
-        monkeypatch.setattr(search, "code_rate", lambda *a, **k: -1.0)
-        with pytest.raises(NoBracketError):
-            threshold(DEPOL, CatCodeSpec(1), tol=1e-6, pre_scan_points=0)
+        monkeypatch.setattr(search, "code_rates", lambda family, code, ps: [-1.0] * len(ps))
+        with pytest.raises(NoBracketError, match="p = 0"):
+            threshold(DEPOL, CatCodeSpec(1), tol=1e-6)
 
     def test_result_records_evaluations_and_code(self):
         res = threshold(DEPOL, CatCodeSpec(2), tol=1e-5)
