@@ -38,6 +38,7 @@ from .degradable import (
     ChannelMatrixRep,
     DegradabilityVerdict,
     KrausSet,
+    antidegradable,
     choi_of_map,
     complementary,
     degradability_verdict,

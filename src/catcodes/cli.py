@@ -287,6 +287,8 @@ def cmd_threshold(args) -> int:
             "p_star": res.p_star,
             "bracket": list(res.bracket),
             "evaluations": res.evaluations,
+            "skipped": res.skipped,
+            "batches": res.batches,
             "channel": format_channel_spec(chspec.family, None),
             "code": format_code_spec(code),
         }

@@ -22,15 +22,17 @@ from . import _kernel
 from .channels import BASIS_SLOTS, Basis, PauliChannel, permute_basis
 from .catcode import CatCodeSpec
 
-# Largest number of outer-block compositions one rate evaluation enumerates.
-MAX_COMPOSITIONS = 10_000_000
+# Largest number of (composition, flip-count) cells one rate evaluation sums
+# over: the work, which grows as C(M + 2n - 1, 2n - 1) for n-in-M.  Admits
+# 7-in-16 (67,863,915 cells); 5-in-30 has 211,915,132.
+MAX_CELLS = 100_000_000
 
 
 class CompositionLimitError(RuntimeError):
-    """The grouped enumeration would exceed `MAX_COMPOSITIONS`."""
+    """The grouped enumeration would sum over more than `MAX_CELLS` cells."""
 
     def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} compositions exceed the cap of {cap}")
+        super().__init__(f"{count} (composition, flip-count) cells exceed the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -99,9 +101,9 @@ def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:
     result is deterministic.
     """
     n, big_m = spec.inner.m, spec.outer.m
-    n_comps = math.comb(big_m + n - 1, n - 1)
-    if n_comps > MAX_COMPOSITIONS:
-        raise CompositionLimitError(n_comps, MAX_COMPOSITIONS)
+    cells = math.comb(big_m + 2 * n - 1, 2 * n - 1)
+    if cells > MAX_CELLS:
+        raise CompositionLimitError(cells, MAX_CELLS)
     log_w, cond = _kernel.inner_ensemble(_inner_probs(chs, spec.inner), n)
     outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
     return _kernel.rate_sums(_kernel.Ensemble.from_probs(outer, log_w), big_m) / (n * big_m)

@@ -22,6 +22,10 @@ RESIDUAL_TOL = 1e-8
 PSD_TOL = -1e-8
 CONDITION_LIMIT = 1e10
 TRACE_TOL = 1e-10
+# Distance inside the symmetric-extension boundary that `antidegradable`
+# demands, far above the rounding of its closed form (~1e-16), so a channel
+# on or within rounding of the boundary is never certified.
+ANTIDEGRADABLE_MARGIN = 1e-9
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -198,3 +202,19 @@ def degradability_verdict(k: KrausSet) -> DegradabilityVerdict:
         status = "inconclusive"
         note = "N is singular; the least-squares map is one member of an affine family"
     return DegradabilityVerdict(status, residual, min_eig, d_rep, note)
+
+
+def antidegradable(ch: PauliChannel) -> bool:
+    """True when the Pauli channel is certified antidegradable, so its quantum
+    capacity, and with it every code rate on it, is at most 0.
+
+    A Pauli channel is antidegradable iff its Bell-diagonal Choi state has a
+    symmetric extension, which for two qubits holds iff
+    sum p_k^2 - 4 sqrt(prod p_k) <= 1/2 (Myhr & Lütkenhaus, PRA 79, 062307,
+    2009; Chen, Ji, Kribs, Lütkenhaus & Zeng, PRA 90, 032318, 2014).  The
+    test demands `ANTIDEGRADABLE_MARGIN` of slack, so False is not a verdict:
+    it only means the channel is not certified.
+    """
+    probs = ch.probs
+    gap = sum(p * p for p in probs) - 4.0 * math.sqrt(math.prod(probs))
+    return gap <= 0.5 - ANTIDEGRADABLE_MARGIN

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -11,12 +12,16 @@ import numpy as np
 from .channels import Basis, ChannelFamily, evaluate_family, hashing_rate
 from .catcode import CatCodeSpec, cat_rate, cat_rates
 from .concat import ConcatSpec, concat_rate, concat_rates
+from .degradable import antidegradable
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
 
 # Points of the coarse grid over the admissible range that `threshold` scans
 # for sign changes before it bisects.
 PRE_SCAN_POINTS = 64
+# Bisection levels whose midpoints `threshold` evaluates as one batch: up to
+# 2**3 - 1 = 7 points, which cost little more than one.
+BISECTION_LEVELS_PER_BATCH = 3
 
 
 class NoBracketError(RuntimeError):
@@ -29,7 +34,9 @@ class ThresholdResult:
 
     p_star: float
     bracket: tuple[float, float]
-    evaluations: int
+    evaluations: int  # noise points whose rate was computed
+    skipped: int  # pre-scan points certified to have zero capacity, not evaluated
+    batches: int  # `code_rates` calls
     code: CodeSpec
     family: ChannelFamily
     warning: Optional[str] = None
@@ -65,31 +72,67 @@ def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
     return cat_rates(chs, code)
 
 
+def _pre_scan_grid(family: ChannelFamily) -> list[float]:
+    p_max = family.p_max
+    return [p_max * (i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)]
+
+
+@functools.lru_cache(maxsize=64)
+def _certified(family: ChannelFamily) -> tuple[bool, ...]:
+    """Which pre-scan points are certified antidegradable, so rate <= 0 for
+    every code.  Depends only on the family, since the grid is fixed; cached
+    because `best_threshold_scan` asks for it once per length."""
+    return tuple(antidegradable(evaluate_family(family, p)) for p in _pre_scan_grid(family))
+
+
+def _bisection_midpoints(lo: float, hi: float, tol: float) -> list[float]:
+    """Midpoints of the next `BISECTION_LEVELS_PER_BATCH` bisection levels
+    below (lo, hi), each computed from its (lo, hi) pair exactly as bisection
+    computes it; an interval already within tol is not split."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(BISECTION_LEVELS_PER_BATCH):
+        children = []
+        for a, b in level:
+            if b - a > tol:
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                children += [(a, mid), (mid, b)]
+        level = children
+    return mids
+
+
 def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> ThresholdResult:
     """Locate the noise level where the code's rate crosses zero.
 
-    p = 0 and a coarse pre-scan of `PRE_SCAN_POINTS` over the admissible
-    range are evaluated as one batch (`code_rates`); every point counts as one
-    evaluation.  The pre-scan brackets the crossing and guards the
-    single-crossing assumption: if several sign changes appear, the largest
-    crossing is refined and the result carries a warning.  The bracket is
-    then refined by bisection to width <= tol.
+    A coarse pre-scan of `PRE_SCAN_POINTS` over the admissible range
+    brackets the crossing and guards the single-crossing assumption: if
+    several sign changes appear, the largest crossing is refined and the
+    result carries a warning.  Pre-scan points where the channel is certified
+    antidegradable count as rate <= 0 and are not evaluated; p = 0 and the
+    remaining points are evaluated as one batch (`code_rates`).  The bracket
+    is then refined by bisection to width <= tol, with the midpoints of
+    `BISECTION_LEVELS_PER_BATCH` levels evaluated per batch, so the result
+    is bit for bit that of plain bisection.  Every evaluated point counts
+    as one evaluation.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    p_max = family.p_max
-    grid = [p_max * (i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)]
-    evals = 1 + len(grid)
-    at_zero, *values = code_rates(family, code, [0.0] + grid)
+    grid, certified = _pre_scan_grid(family), _certified(family)
+    scan = [p for p, skip in zip(grid, certified) if not skip]
+    at_zero, *values = code_rates(family, code, [0.0] + scan)
+    evals, batches = 1 + len(scan), 1
     if at_zero <= 0.0:
         raise NoBracketError("rate is not positive at p = 0")
 
+    # `next` runs only for evaluated points, in grid order.
+    values = iter(values)
+    positive = [not skip and next(values) > 0.0 for skip in certified]
     crossings = []
-    prev_p, prev_v = 0.0, 1.0
-    for p, v in zip(grid, values):
-        if prev_v > 0.0 >= v:
+    prev_p, prev_positive = 0.0, True
+    for p, pos in zip(grid, positive):
+        if prev_positive and not pos:
             crossings.append((prev_p, p))
-        prev_p, prev_v = p, v
+        prev_p, prev_positive = p, pos
     if not crossings:
         raise NoBracketError("rate is positive across the admissible range")
     warning = None
@@ -98,13 +141,21 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
 
     lo, hi = crossings[-1]
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        evals += 1
-        if code_rate(family, code, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi), (lo, hi), evals, code, family, warning)
+        mids = _bisection_midpoints(lo, hi, tol)
+        rates = dict(zip(mids, code_rates(family, code, mids)))
+        evals, batches = evals + len(mids), batches + 1
+        for _ in range(BISECTION_LEVELS_PER_BATCH):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if rates[mid] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    skipped = PRE_SCAN_POINTS - len(scan)
+    return ThresholdResult(
+        0.5 * (lo + hi), (lo, hi), evals, skipped, batches, code, family, warning
+    )
 
 
 def best_length_scan(

@@ -145,6 +145,13 @@ class TestThresholdCommand:
         assert code == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         assert record["bracket"][0] < record["p_star"] < record["bracket"][1]
+        # Two-Pauli is antidegradable for 1/3 < p < 1: 42 of the 64 pre-scan
+        # points, i.e. 22/64 .. 63/64, are skipped.  p = 0 and the other 22
+        # points make one batch; 11 bisection levels make 4 batches of 7, 7,
+        # 7 and 3 midpoints.
+        assert record["skipped"] == 42
+        assert record["batches"] == 5
+        assert record["evaluations"] == 23 + 24
 
 
 class TestCsvCommands:

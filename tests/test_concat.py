@@ -14,7 +14,7 @@ from catcodes import (
     induced_ensemble,
     make_family,
 )
-from catcodes.concat import MAX_COMPOSITIONS
+from catcodes.concat import MAX_CELLS
 from catcodes.oracle import (
     enumerate_joint,
     oracle_concat_rate,
@@ -140,7 +140,12 @@ class TestConcatRate:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_composition_cap_enforced(self):
-        spec = ConcatSpec(CatCodeSpec(16), CatCodeSpec(16, Basis.X))
-        with pytest.raises(CompositionLimitError) as err:
-            concat_rate(DEPOL_19, spec)
-        assert err.value.count > MAX_COMPOSITIONS
+        # The cap counts cells C(M + 2n - 1, 2n - 1), the work: 5-in-30 has
+        # only 46,376 compositions but 211,915,132 cells.
+        for spec, cells in [
+            (ConcatSpec(CatCodeSpec(16), CatCodeSpec(16, Basis.X)), 1_503_232_609_098),
+            (ConcatSpec(CatCodeSpec(5), CatCodeSpec(30, Basis.X)), 211_915_132),
+        ]:
+            with pytest.raises(CompositionLimitError, match=f"^{cells} ") as err:
+                concat_rate(DEPOL_19, spec)
+            assert err.value.count == cells > MAX_CELLS

@@ -4,20 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catcodes import (
+    Basis,
+    CatCodeSpec,
     ChannelMatrixRep,
+    ConcatSpec,
     NOISELESS,
     PauliChannel,
+    antidegradable,
+    cat_rates,
     choi_of_map,
     complementary,
+    concat_rates,
     degradability_verdict,
     evaluate_family,
+    hashing_rate,
     kraus_from_pauli,
     make_family,
     natural_rep,
     solve_degrading,
 )
+from catcodes.oracle import oracle_cat_rate
+from catcodes.search import PRE_SCAN_POINTS
 
 TWO_PAULI = make_family("two_pauli")
 
@@ -237,3 +248,66 @@ class TestVerdict:
         record = verdict.to_record()
         text = json.dumps(record)
         assert "not_degradable" in text
+
+
+# Pauli channels from four nonnegative weights, normalized.
+PAULI_CHANNELS = (
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: PauliChannel(*(x / sum(w) for x in w)))
+)
+
+
+def assert_rates_not_positive(chs):
+    """Hashing, cat m = 2..12 in the Z and X bases, and 3-in-5 all have rate
+    <= 0 on every channel of `chs`; cat rates for m <= 6 match brute force."""
+    assert all(hashing_rate(ch) <= 0.0 for ch in chs)
+    for basis in (Basis.Z, Basis.X):
+        for m in range(2, 13):
+            rates = cat_rates(chs, CatCodeSpec(m, basis))
+            assert rates.max() <= 0.0
+            if m <= 6:
+                for ch, rate in zip(chs, rates):
+                    assert rate == pytest.approx(oracle_cat_rate([ch] * m, basis), abs=1e-10)
+    spec = ConcatSpec(CatCodeSpec(3), CatCodeSpec(5, Basis.X))
+    assert concat_rates(chs, spec).max() <= 0.0
+
+
+class TestAntidegradable:
+    """The closed-form symmetric-extension cutoff behind the threshold pre-scan."""
+
+    @pytest.mark.parametrize("kind,boundary", [("depolarizing", 0.25), ("two_pauli", 1 / 3)])
+    def test_boundary_is_not_certified_and_just_past_it_is(self, kind, boundary):
+        fam = make_family(kind)
+        assert not antidegradable(evaluate_family(fam, boundary - 1e-6))
+        assert not antidegradable(evaluate_family(fam, boundary))
+        assert antidegradable(evaluate_family(fam, boundary + 1e-6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(PAULI_CHANNELS)
+    def test_entanglement_breaking_channels_are_certified(self, ch):
+        assume(max(ch.probs) <= 0.5 - 1e-6)
+        assert antidegradable(ch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(PAULI_CHANNELS)
+    def test_no_code_has_positive_rate_on_certified_channels(self, ch):
+        assume(antidegradable(ch))
+        assert_rates_not_positive([ch])
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            make_family("depolarizing"),
+            TWO_PAULI,
+            make_family("independent_xz_ratio", {"ratio": 9.0}),
+            make_family("custom_ray", {"ex": 1.0, "ez": 2.0}),
+        ],
+        ids=lambda fam: fam.describe(),
+    )
+    def test_no_code_has_positive_rate_on_certified_grid_points(self, fam):
+        grid = [(i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)]
+        chs = [evaluate_family(fam, p) for p in grid]
+        certified = [ch for ch in chs if antidegradable(ch)]
+        assert len(certified) >= 30
+        assert_rates_not_positive(certified)

@@ -16,6 +16,7 @@ from catcodes import (
     best_threshold_scan,
     cat_rate,
     code_rate,
+    code_rates,
     evaluate_family,
     hashing_rate,
     make_family,
@@ -25,6 +26,8 @@ from catcodes import (
 
 DEPOL = make_family("depolarizing")
 TWO_PAULI = make_family("two_pauli")
+NINE_TO_ONE = make_family("independent_xz_ratio", {"ratio": 9.0})
+DEPHASING = make_family("custom_ray", {"ez": 1.0})
 
 # Frozen zero-crossings of the hashing rate (50-digit bisection, rounded).
 HASHING_ZERO_DEPOL = 0.1892896249
@@ -38,6 +41,31 @@ def independent_channel(q_x: float, q_z: float) -> PauliChannel:
         q_x * q_z,
         q_z * (1.0 - q_x),
     )
+
+
+def plain_threshold(family, code, tol):
+    """(p_star, bracket, warning) of the plain search: p = 0 and 64 pre-scan
+    points, every one evaluated, then bisection one point at a time."""
+    grid = [family.p_max * (i + 1) / 64 for i in range(64)]
+    at_zero, *values = code_rates(family, code, [0.0] + grid)
+    assert at_zero > 0.0
+    crossings = []
+    prev_p, prev_v = 0.0, 1.0
+    for p, v in zip(grid, values):
+        if prev_v > 0.0 >= v:
+            crossings.append((prev_p, p))
+        prev_p, prev_v = p, v
+    warning = None
+    if len(crossings) > 1:
+        warning = f"{len(crossings)} sign changes on the coarse grid; using the largest"
+    lo, hi = crossings[-1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if code_rate(family, code, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (lo, hi), warning
 
 
 class TestThreshold:
@@ -59,10 +87,12 @@ class TestThreshold:
         assert res.p_star > HASHING_ZERO_DEPOL
 
     def test_no_bracket_when_rate_stays_positive(self, monkeypatch):
+        # Pure dephasing: no pre-scan point is certified antidegradable, so
+        # every point is evaluated (on depolarizing, p > 1/4 counts as <= 0).
         monkeypatch.setattr(search, "code_rate", lambda *a, **k: 1.0)
         monkeypatch.setattr(search, "code_rates", lambda family, code, ps, **k: [1.0] * len(ps))
         with pytest.raises(NoBracketError):
-            threshold(DEPOL, CatCodeSpec(1), tol=1e-6)
+            threshold(DEPHASING, CatCodeSpec(1), tol=1e-6)
 
     def test_no_bracket_when_rate_negative_at_start(self, monkeypatch):
         monkeypatch.setattr(search, "code_rates", lambda family, code, ps: [-1.0] * len(ps))
@@ -75,6 +105,51 @@ class TestThreshold:
         assert res.code == CatCodeSpec(2)
         assert res.family == DEPOL
         assert res.warning is None
+
+    def test_multiple_crossings_refine_the_largest_with_a_warning(self, monkeypatch):
+        # Crosses zero downward at 0.1 and at 0.24, positive on (0.17, 0.24).
+        def rates(family, code, ps):
+            return [-(p - 0.1) * (p - 0.17) * (p - 0.24) for p in ps]
+
+        monkeypatch.setattr(search, "code_rates", rates)
+        res = threshold(DEPOL, CatCodeSpec(1), tol=1e-6)
+        assert res.warning.startswith("2 sign changes")
+        assert abs(res.p_star - 0.24) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "family,code,tol",
+        [
+            (DEPOL, None, 1e-6),
+            (DEPOL, CatCodeSpec(5), 1e-6),
+            (DEPOL, ConcatSpec(CatCodeSpec(5), CatCodeSpec(5, Basis.X)), 1e-6),
+            (DEPOL, ConcatSpec(CatCodeSpec(3), CatCodeSpec(19, Basis.X)), 1e-5),
+            (NINE_TO_ONE, CatCodeSpec(1), 1e-8),
+            (NINE_TO_ONE, CatCodeSpec(33), 1e-8),
+            (NINE_TO_ONE, CatCodeSpec(40), 1e-8),
+            (TWO_PAULI, CatCodeSpec(5), 1e-6),
+            (DEPHASING, None, 1e-6),
+            (DEPHASING, CatCodeSpec(5, Basis.X), 1e-6),
+        ],
+        ids=[
+            "depol-hashing", "depol-5cat", "depol-5in5", "depol-3in19",
+            "9to1-m1", "9to1-m33", "9to1-m40", "two_pauli-5cat",
+            "dephasing-hashing", "dephasing-5cat_x",
+        ],
+    )
+    def test_same_result_as_plain_prescan_and_bisection(self, family, code, tol, monkeypatch):
+        want = plain_threshold(family, code, tol)
+        batch_sizes = []
+
+        def counted(family, code, ps):
+            batch_sizes.append(len(ps))
+            return code_rates(family, code, ps)
+
+        monkeypatch.setattr(search, "code_rates", counted)
+        res = threshold(family, code, tol=tol)
+        assert (res.p_star, res.bracket, res.warning) == want
+        assert res.evaluations == sum(batch_sizes)
+        assert res.batches == len(batch_sizes)
+        assert res.skipped == search.PRE_SCAN_POINTS + 1 - batch_sizes[0]
 
 
 class TestCodeRate:
