@@ -22,6 +22,10 @@ PRE_SCAN_POINTS = 64
 # Bisection levels whose midpoints `threshold` evaluates as one batch: up to
 # 2**3 - 1 = 7 points, which cost little more than one.
 BISECTION_LEVELS_PER_BATCH = 3
+# Depth, in bisection levels below the bracket, to which each batch also
+# evaluates the midpoints on the path toward the predicted crossing: at most
+# PATH_DEPTH - BISECTION_LEVELS_PER_BATCH = 4 more points.
+PATH_DEPTH = 7
 
 
 class NoBracketError(RuntimeError):
@@ -85,24 +89,70 @@ def _certified(family: ChannelFamily) -> tuple[bool, ...]:
     return tuple(antidegradable(evaluate_family(family, p)) for p in _pre_scan_grid(family))
 
 
-def _bisection_midpoints(lo: float, hi: float, tol: float) -> list[float]:
+def _split(a: float, b: float, tol: float) -> Optional[float]:
+    """Midpoint of the bracket (a, b), computed exactly as bisection computes
+    it, or None if the bracket is within tol or has no float strictly inside."""
+    mid = 0.5 * (a + b)
+    return mid if b - a > tol and a < mid < b else None
+
+
+def _predicted_crossing(known: dict[float, float], lo: float, hi: float) -> Optional[float]:
+    """Where the rate is predicted to cross zero inside (lo, hi), or None.
+
+    Inverse quadratic interpolation, the interpolation step of Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973, ch.
+    4), through the bracket ends and the evaluated point nearest outside them
+    (no point inside the bracket has been evaluated); otherwise the secant
+    through the bracket ends.  `known` maps every evaluated point to its
+    rate; a certified end has none, so no prediction.
+    """
+    if lo not in known or hi not in known:
+        return None
+    f_lo, f_hi = known[lo], known[hi]
+    outside = [p for p in known if not lo <= p <= hi]
+    if outside:
+        p = min(outside, key=lambda p: max(lo - p, p - hi))
+        f = known[p]
+        if f not in (f_lo, f_hi):
+            x = (
+                lo * (f_hi / (f_lo - f_hi)) * (f / (f_lo - f))
+                + hi * (f_lo / (f_hi - f_lo)) * (f / (f_hi - f))
+                + p * (f_lo / (f - f_lo)) * (f_hi / (f - f_hi))
+            )
+            if lo < x < hi:
+                return x
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    return x if lo < x < hi else None
+
+
+def _batch_midpoints(lo: float, hi: float, tol: float, target: Optional[float]) -> list[float]:
     """Midpoints of the next `BISECTION_LEVELS_PER_BATCH` bisection levels
-    below (lo, hi), each computed from its (lo, hi) pair exactly as bisection
-    computes it; an interval already within tol is not split."""
+    below (lo, hi), then those on the path toward `target` down to
+    `PATH_DEPTH` levels, each computed from its (lo, hi) pair exactly as
+    bisection computes it."""
     mids, level = [], [(lo, hi)]
     for _ in range(BISECTION_LEVELS_PER_BATCH):
         children = []
         for a, b in level:
-            if b - a > tol:
-                mid = 0.5 * (a + b)
+            mid = _split(a, b, tol)
+            if mid is not None:
                 mids.append(mid)
                 children += [(a, mid), (mid, b)]
         level = children
+    if target is not None:
+        for depth in range(PATH_DEPTH):
+            mid = _split(lo, hi, tol)
+            if mid is None:
+                break
+            if depth >= BISECTION_LEVELS_PER_BATCH:
+                mids.append(mid)
+            lo, hi = (mid, hi) if target > mid else (lo, mid)
     return mids
 
 
 def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> ThresholdResult:
-    """Locate the noise level where the code's rate crosses zero.
+    """Locate the noise level where the code's rate crosses zero, by certified
+    cutoff + batched bisection along a predicted path.
 
     A coarse pre-scan of `PRE_SCAN_POINTS` over the admissible range
     brackets the crossing and guards the single-crossing assumption: if
@@ -110,29 +160,32 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     result carries a warning.  Pre-scan points where the channel is certified
     antidegradable count as rate <= 0 and are not evaluated; p = 0 and the
     remaining points are evaluated as one batch (`code_rates`).  The bracket
-    is then refined by bisection to width <= tol, with the midpoints of
-    `BISECTION_LEVELS_PER_BATCH` levels evaluated per batch, so the result
-    is bit for bit that of plain bisection.  Every evaluated point counts
-    as one evaluation.
+    is then refined by batched bisection along a predicted path: each batch
+    evaluates the midpoints of the next `BISECTION_LEVELS_PER_BATCH` levels
+    and those on the path toward the crossing that `_predicted_crossing`
+    predicts, down to `PATH_DEPTH` levels.  Bisection then walks down while
+    its midpoint has been evaluated, so the result is bit for bit that of
+    plain bisection: the prediction only chooses which points to evaluate.
+    Bisection stops at width <= tol, or when no float lies strictly inside
+    the bracket.  Every evaluated point counts as one evaluation.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     grid, certified = _pre_scan_grid(family), _certified(family)
     scan = [p for p, skip in zip(grid, certified) if not skip]
-    at_zero, *values = code_rates(family, code, [0.0] + scan)
+    known = dict(zip([0.0] + scan, map(float, code_rates(family, code, [0.0] + scan))))
     evals, batches = 1 + len(scan), 1
-    if at_zero <= 0.0:
+    if known[0.0] <= 0.0:
         raise NoBracketError("rate is not positive at p = 0")
 
-    # `next` runs only for evaluated points, in grid order.
-    values = iter(values)
-    positive = [not skip and next(values) > 0.0 for skip in certified]
+    # Certified points are not in `known` and count as rate <= 0.
     crossings = []
     prev_p, prev_positive = 0.0, True
-    for p, pos in zip(grid, positive):
-        if prev_positive and not pos:
+    for p in grid:
+        positive = known.get(p, 0.0) > 0.0
+        if prev_positive and not positive:
             crossings.append((prev_p, p))
-        prev_p, prev_positive = p, pos
+        prev_p, prev_positive = p, positive
     if not crossings:
         raise NoBracketError("rate is positive across the admissible range")
     warning = None
@@ -140,15 +193,15 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
         warning = f"{len(crossings)} sign changes on the coarse grid; using the largest"
 
     lo, hi = crossings[-1]
-    while hi - lo > tol:
-        mids = _bisection_midpoints(lo, hi, tol)
-        rates = dict(zip(mids, code_rates(family, code, mids)))
+    while _split(lo, hi, tol) is not None:
+        target = _predicted_crossing(known, lo, hi)
+        mids = [p for p in _batch_midpoints(lo, hi, tol, target) if p not in known]
+        known.update(zip(mids, map(float, code_rates(family, code, mids))))
         evals, batches = evals + len(mids), batches + 1
-        for _ in range(BISECTION_LEVELS_PER_BATCH):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if rates[mid] > 0.0:
+        # Stops at the first midpoint not yet evaluated, which the next batch
+        # evaluates first; nothing below it has been evaluated either.
+        while (mid := _split(lo, hi, tol)) is not None and mid in known:
+            if known[mid] > 0.0:
                 lo = mid
             else:
                 hi = mid

@@ -43,11 +43,15 @@ def independent_channel(q_x: float, q_z: float) -> PauliChannel:
     )
 
 
-def plain_threshold(family, code, tol):
+def plain_threshold(family, code, tol, rate=None):
     """(p_star, bracket, warning) of the plain search: p = 0 and 64 pre-scan
-    points, every one evaluated, then bisection one point at a time."""
+    points, every one evaluated, then bisection one point at a time.  `rate`,
+    if given, is a function of p that stands in for the code's rate."""
     grid = [family.p_max * (i + 1) / 64 for i in range(64)]
-    at_zero, *values = code_rates(family, code, [0.0] + grid)
+    if rate is None:
+        at_zero, *values = code_rates(family, code, [0.0] + grid)
+    else:
+        at_zero, *values = [rate(p) for p in [0.0] + grid]
     assert at_zero > 0.0
     crossings = []
     prev_p, prev_v = 0.0, 1.0
@@ -61,7 +65,7 @@ def plain_threshold(family, code, tol):
     lo, hi = crossings[-1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if code_rate(family, code, mid) > 0.0:
+        if (code_rate(family, code, mid) if rate is None else rate(mid)) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -150,6 +154,90 @@ class TestThreshold:
         assert res.evaluations == sum(batch_sizes)
         assert res.batches == len(batch_sizes)
         assert res.skipped == search.PRE_SCAN_POINTS + 1 - batch_sizes[0]
+
+    @staticmethod
+    def stub_threshold(monkeypatch, family, rate, tol):
+        """`threshold` with `rate` as every code's rate; returns the result
+        and the batches sent to `code_rates`."""
+        batches = []
+
+        def stub(family, code, ps):
+            batches.append(list(ps))
+            return [rate(p) for p in ps]
+
+        monkeypatch.setattr(search, "code_rates", stub)
+        return threshold(family, None, tol=tol), batches
+
+    def test_wrong_prediction_leaves_result_and_batch_count_unchanged(self, monkeypatch):
+        # Crosses zero at c and flattens at -1e-4 just past it: interpolating
+        # through the flat side predicts a crossing near the bracket's upper
+        # end, far right of c.
+        c = 0.3001
+
+        def rate(p):
+            return max(c - p, -1e-4)
+
+        walked = []
+        want = plain_threshold(DEPHASING, None, 1e-9, rate=lambda p: walked.append(p) or rate(p))
+        levels = len(walked) - 65
+        res, batches = self.stub_threshold(monkeypatch, DEPHASING, rate, 1e-9)
+        assert (res.p_star, res.bracket, res.warning) == want
+        assert res.batches <= 1 + math.ceil(levels / search.BISECTION_LEVELS_PER_BATCH)
+        assert res.evaluations == sum(map(len, batches))
+        # Past the 7 midpoints of the first 3 levels, the first batch follows
+        # the wrong path: every point on it lies right of c.
+        first = batches[1]
+        assert len(first) == 11 and min(first[7:]) > c
+
+    def test_exact_zero_at_a_walked_midpoint(self, monkeypatch):
+        # Pre-scan bracket (19/64, 20/64); its midpoint 39/128 is a float and
+        # the rate there is exactly 0.0, so bisection takes it as hi.
+        c = 39 / 128
+
+        def rate(p):
+            return c - p
+
+        want = plain_threshold(DEPHASING, None, 1e-6, rate=rate)
+        res, batches = self.stub_threshold(monkeypatch, DEPHASING, rate, 1e-6)
+        assert (res.p_star, res.bracket, res.warning) == want
+        assert res.bracket[1] == c
+        assert rate(c) == 0.0 and c in batches[1]
+        assert res.evaluations == sum(map(len, batches))
+        # From then on hi has rate 0.0, every prediction is hi itself and is
+        # rejected, so each batch is at most the 7 midpoints of 3 levels.
+        assert all(len(b) <= 7 for b in batches[2:])
+
+    def test_certified_upper_end_falls_back_to_the_plain_batch(self, monkeypatch):
+        # On depolarizing noise 17/64 is the first pre-scan point certified
+        # antidegradable; with the crossing below it, the bracket's upper end
+        # has no rate to predict from, so the first batch is the 7 midpoints
+        # of 3 bisection levels and nothing else.
+        c = 0.26
+
+        def rate(p):
+            return c - p
+
+        want = plain_threshold(DEPOL, None, 1e-6, rate=rate)
+        res, batches = self.stub_threshold(monkeypatch, DEPOL, rate, 1e-6)
+        assert (res.p_star, res.bracket, res.warning) == want
+        assert 17 / 64 not in batches[0]
+        lo, hi = 16 / 64, 17 / 64
+        eighths = [lo + (hi - lo) * k / 8 for k in range(1, 8)]
+        assert sorted(batches[1]) == pytest.approx(eighths, rel=0, abs=1e-15)
+
+    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self):
+        # No float lies strictly between the final bracket ends, so bisection
+        # stops there instead of splitting the bracket forever.
+        res = threshold(DEPOL, CatCodeSpec(3), tol=1e-300)
+        lo, hi = res.bracket
+        assert math.nextafter(lo, 1.0) == hi
+        assert code_rate(DEPOL, CatCodeSpec(3), lo) > 0.0 >= code_rate(DEPOL, CatCodeSpec(3), hi)
+
+    def test_hashing_on_dephasing_gains_no_batches_and_wastes_no_points(self):
+        # The rate touches zero at p = 1/2 with zero slope: rate(1/2) = 0.0,
+        # so every prediction is the bracket's upper end and none is used.
+        res = threshold(DEPHASING, None, tol=1e-6)
+        assert (res.batches, res.evaluations) == (6, 96)
 
 
 class TestCodeRate:
