@@ -16,6 +16,7 @@ from .channels import (
 )
 from .catcode import (
     CatCodeSpec,
+    SignedLog,
     SyndromeClass,
     ZeroProbabilityClassError,
     cat_rate,
@@ -58,7 +59,6 @@ from .search import (
     rule_of_thumb_lengths,
     threshold,
 )
-from .slog import SignedLog, slog_pow, slog_sum
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -95,22 +95,31 @@ class Ensemble(NamedTuple):
         return Ensemble(*(a[:, sl] for a in self))
 
 
+def log_vectors(ens: Ensemble, t: int, log_c: np.ndarray):
+    """Unscaled log a0 and log |b0| of class t over flip counts j = 0..k, each
+    (P, k+1) with log_c[j] added, and the sign of b0 (+1.0 or -1.0)."""
+    k = len(log_c) - 1
+    log_a0 = log_c + _powers(ens.log_a[t], k) + _powers(ens.log_abar[t], k)[:, ::-1]
+    log_b0 = log_c + _powers(ens.log_b[t], k) + _powers(ens.log_bbar[t], k)[:, ::-1]
+    alternating = np.ones(k + 1)
+    alternating[1::2] = -1.0  # (-1)^j; reversed, (-1)^(k-j)
+    sign_b0 = (np.where(ens.neg_b[t][:, None], alternating, 1.0)
+               * np.where(ens.neg_bbar[t][:, None], alternating[::-1], 1.0))
+    return log_a0, log_b0, sign_b0
+
+
 def _class_vectors(ens: Ensemble, t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Scaled (a0, b0) of one class over flip counts j = 0..k, as a (2, P, k+1)
     array with binomial C(k, j) included, and the log scale k log w_t + s,
     where s is the log of the largest C(k, j) a0(j) at each point."""
     log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
     log_c = log_fact[k] - (log_fact + log_fact[::-1])  # exactly symmetric in j <-> k - j
-    log_a0 = log_c + _powers(ens.log_a[t], k) + _powers(ens.log_abar[t], k)[:, ::-1]
-    log_b0 = log_c + _powers(ens.log_b[t], k) + _powers(ens.log_bbar[t], k)[:, ::-1]
+    log_a0, log_b0, sign_b0 = log_vectors(ens, t, log_c)
     s = log_a0.max(axis=1)
     out = np.empty((2,) + log_a0.shape)
     np.exp(log_a0 - s[:, None], out=out[0])
     np.exp(log_b0 - s[:, None], out=out[1])
-    alternating = np.ones(k + 1)
-    alternating[1::2] = -1.0  # (-1)^j; reversed, (-1)^(k-j)
-    out[1] *= np.where(ens.neg_b[t][:, None], alternating, 1.0)
-    out[1] *= np.where(ens.neg_bbar[t][:, None], alternating[::-1], 1.0)
+    out[1] *= sign_b0
     return out, k * ens.log_w[t] + s
 
 

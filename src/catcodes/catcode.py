@@ -6,11 +6,12 @@ syndrome vector depends only on the syndrome's Hamming weight r, so all
 quantities are computed over the m weight classes instead of the 2^(m-1)
 syndrome vectors.
 
-`cat_rate` and `cat_rates` evaluate the rate with the shared numpy kernel
-(`_kernel`), whose one-class case is exactly the sum over weight classes.
-`joint_prob`, `joint_prob_hetero`, `syndrome_classes` and `induced_channel`
-are the reference path: scalar signed-log arithmetic (`slog`), one class at a
-time, which the tests and `catcodes verify` check against brute force.
+Everything here comes from the shared numpy kernel (`_kernel`).  `cat_rate`
+and `cat_rates` are its one-class rate sum.  `syndrome_classes`, `joint_prob`
+and `induced_channel` read the class probabilities from the kernel's unscaled
+log-domain vectors over flip counts (`_kernel.log_vectors`), and
+`joint_prob_hetero` forms the same two products for position-dependent
+channels; the tests and `catcodes verify` check both against brute force.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import numpy as np
 
 from . import _kernel
 from .channels import Basis, PauliChannel, permute_basis
-from .slog import SLOG_ZERO, SignedLog, slog_pow
 
 # (u, v) logical-error labels in channel-slot order: identity, X, Y, Z.
 UV_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
 
-HALF = SignedLog.from_float(0.5)
+LOG_HALF = math.log(0.5)
 
 
 class ZeroProbabilityClassError(ValueError):
@@ -44,6 +44,21 @@ class CatCodeSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"cat code length must be >= 1, got {self.m}")
+
+
+@dataclass(frozen=True)
+class SignedLog:
+    """A real number stored as sign in {-1, 0, +1} and natural log of magnitude,
+    so that probabilities far below the float range keep their value."""
+
+    sign: int
+    logmag: float = -math.inf
+
+    def to_float(self) -> float:
+        return self.sign * math.exp(self.logmag)
+
+
+ZERO = SignedLog(0)
 
 
 @dataclass(frozen=True)
@@ -64,19 +79,24 @@ class SyndromeClass:
         total = self.total()
         if total.sign <= 0:
             return -math.inf
-        # multiplicity can exceed float range for m in the thousands.
-        return _log_comb(self.multiplicity) + total.logmag
+        # math.log takes the exact int: multiplicities for m in the thousands exceed float range.
+        return math.log(self.multiplicity) + total.logmag
 
     def total(self) -> SignedLog:
-        t = SLOG_ZERO
-        for j in self.joint:
-            t = t + j
-        return t
+        top = max(j.logmag for j in self.joint)
+        if top == -math.inf:
+            return ZERO
+        return SignedLog(1, top + math.log(sum(math.exp(j.logmag - top) for j in self.joint)))
 
 
-def _log_comb(c: int) -> float:
-    # math.log takes exact ints, so huge multiplicities never round through float
-    return math.log(c)
+def _half_sum(log_a: float, log_b: float, sign: float) -> SignedLog:
+    """(a + sign |b|) / 2 from log a and log |b|, for products with |b| <= a
+    factorwise; sign is +1 or -1, and roundoff past |b| = a reads as 0."""
+    d = log_b - log_a
+    if log_a == -math.inf or (sign < 0 and d >= 0.0):
+        return ZERO
+    tail = math.log1p(math.exp(d)) if sign > 0 else math.log(-math.expm1(d))
+    return SignedLog(1, log_a + tail + LOG_HALF)
 
 
 def joint_prob(ch: PauliChannel, m: int, u: int, v: int, r: int) -> SignedLog:
@@ -91,14 +111,7 @@ def joint_prob(ch: PauliChannel, m: int, u: int, v: int, r: int) -> SignedLog:
     """
     if not 0 <= r <= m - 1:
         raise ValueError(f"syndrome weight r = {r} outside [0, {m - 1}]")
-    a = u * (m - 2 * r) + r
-    b = (1 - u) * (m - 2 * r) + r
-    q_x = ch.q_x
-    first = slog_pow(q_x, a) * slog_pow(1.0 - q_x, b)
-    second = slog_pow(ch.p_x - ch.p_y, a) * slog_pow(1.0 - q_x - 2.0 * ch.p_z, b)
-    if v == 1:
-        second = -second
-    return HALF * (first + second)
+    return syndrome_classes(ch, m)[r].joint[UV_ORDER.index((u, v))]
 
 
 def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
@@ -114,31 +127,36 @@ def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
     syndrome = list(syndrome)
     if len(syndrome) != len(chs) - 1:
         raise ValueError(f"expected {len(chs) - 1} syndrome bits, got {len(syndrome)}")
-    first = SignedLog(1, 0.0)
-    second = SignedLog(1, 0.0)
-    for ch, flipped in zip(chs, [u] + [u ^ int(s) for s in syndrome]):
+    flips = [u] + [u ^ int(s) for s in syndrome]
+    for flipped in flips:
         if flipped not in (0, 1):
             raise ValueError(f"flip indicator {flipped} is not 0 or 1")
-        q_x = ch.q_x
-        first = first * slog_pow(q_x, flipped) * slog_pow(1.0 - q_x, 1 - flipped)
-        second = (
-            second
-            * slog_pow(ch.p_x - ch.p_y, flipped)
-            * slog_pow(1.0 - q_x - 2.0 * ch.p_z, 1 - flipped)
-        )
-    if v == 1:
-        second = -second
-    return HALF * (first + second)
+    # The qubits are the points of one kernel class; sum their logs per flip.
+    ens = _kernel.physical(np.array([ch.probs for ch in chs]))
+    flipped = np.array(flips, dtype=bool)
+    log_a = np.where(flipped, ens.log_a[0], ens.log_abar[0]).sum()
+    log_b = np.where(flipped, ens.log_b[0], ens.log_bbar[0]).sum()
+    negatives = np.where(flipped, ens.neg_b[0], ens.neg_bbar[0]).sum() + v
+    return _half_sum(float(log_a), float(log_b), -1.0 if negatives % 2 else 1.0)
 
 
 def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
     """All m syndrome weight classes of the Z-frame cat code on `ch`."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    # Class r's four joints are (a0 +- b0) / 2 at flip count j = r and
+    # (a1 +- b1) / 2 at its mirror m - r, per syndrome vector (no binomial).
+    ens = _kernel.physical(np.array([ch.probs]))
+    log_a, log_b, sign_b = (x[0].tolist() for x in _kernel.log_vectors(ens, 0, np.zeros(m + 1)))
     classes = []
+    multiplicity = 1  # C(m-1, r), updated exactly
     for r in range(m):
-        joint = tuple(joint_prob(ch, m, u, v, r) for u, v in UV_ORDER)
-        classes.append(SyndromeClass(r, math.comb(m - 1, r), joint))
+        a0, b0, s0 = log_a[r], log_b[r], sign_b[r]
+        a1, b1, s1 = log_a[m - r], log_b[m - r], sign_b[m - r]
+        joint = (_half_sum(a0, b0, s0), _half_sum(a1, b1, s1),
+                 _half_sum(a1, b1, -s1), _half_sum(a0, b0, -s0))
+        classes.append(SyndromeClass(r, multiplicity, joint))
+        multiplicity = multiplicity * (m - 1 - r) // (r + 1)
     return classes
 
 
@@ -147,13 +165,7 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
     total = sc.total()
     if total.sign <= 0:
         raise ZeroProbabilityClassError(f"syndrome class r = {sc.r} has zero probability")
-    cond = []
-    for j in sc.joint:
-        if j.sign == 0:
-            cond.append(0.0)
-        else:
-            cond.append(j.sign * math.exp(j.logmag - total.logmag))
-    return PauliChannel(*cond)
+    return PauliChannel(*(math.exp(j.logmag - total.logmag) for j in sc.joint))
 
 
 def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:

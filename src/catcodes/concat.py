@@ -44,10 +44,6 @@ class ConcatSpec:
     inner: CatCodeSpec
     outer: CatCodeSpec
 
-    @property
-    def block_length(self) -> int:
-        return self.inner.m * self.outer.m
-
 
 @dataclass(frozen=True)
 class InducedEnsemble:

@@ -1,8 +1,11 @@
 """Tests for syndrome-class joint probabilities, induced channels, and cat-code rates."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catcodes import (
     Basis,
@@ -35,6 +38,15 @@ def independent_channel(q_x: float, q_z: float) -> PauliChannel:
 
 def syndrome_of_weight(m: int, r: int) -> tuple:
     return tuple(1 if i < r else 0 for i in range(m - 1))
+
+
+# Pauli channels from four weights, normalized; a weight is often exactly 0,
+# so zero-probability classes and beta = 0 or bbar = 0 come up.
+CHANNELS_WITH_ZEROS = (
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: PauliChannel(*(x / sum(w) for x in w)))
+)
 
 
 class TestJointProb:
@@ -82,19 +94,16 @@ class TestJointProb:
 
     def test_no_underflow_at_large_length(self):
         # Direct products of m = 4096 factors underflow doubles; the
-        # log-domain path must still give finite class log-weights.
-        ch = independent_channel(0.3, 0.01)
-        classes = syndrome_classes(ch, 4096)
-        total = sum(
-            math.exp(sc.log_class_weight())
-            for sc in classes
-            if sc.total().sign != 0
-        )
-        assert total == pytest.approx(1.0, abs=1e-9)
-        mid = classes[2048]
-        assert mid.total().sign == 1
-        assert mid.total().to_float() == 0.0  # underflows as a plain double
-        assert math.isfinite(mid.log_class_weight())
+        # log-domain path must still give every class a positive total and
+        # a finite log-weight (vectors scaled by their maximum would not).
+        depolarizing = PauliChannel(0.81, 0.19 / 3, 0.19 / 3, 0.19 / 3)
+        for ch in (independent_channel(0.3, 0.01), depolarizing):
+            classes = syndrome_classes(ch, 4096)
+            assert all(sc.total().sign == 1 for sc in classes)
+            assert all(math.isfinite(sc.log_class_weight()) for sc in classes)
+            total = sum(math.exp(sc.log_class_weight()) for sc in classes)
+            assert total == pytest.approx(1.0, abs=1e-9)
+            assert classes[2048].total().to_float() == 0.0  # underflows as a plain double
 
 
 class TestHetero:
@@ -120,6 +129,37 @@ class TestHetero:
                     assert got == pytest.approx(
                         table.probs[(syndrome, u, v)], abs=1e-10
                     )
+
+
+class TestAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(CHANNELS_WITH_ZEROS, st.integers(1, 6))
+    def test_classes_and_induced_channels(self, ch, m):
+        table = enumerate_joint([ch] * m, Basis.Z)
+        for sc in syndrome_classes(ch, m):
+            syndrome = syndrome_of_weight(m, sc.r)
+            for val, (u, v) in zip(sc.joint, UV):
+                want = table.probs.get((syndrome, u, v), 0.0)
+                assert val.to_float() == pytest.approx(want, abs=1e-10)
+            if sc.total().sign == 0:
+                with pytest.raises(ZeroProbabilityClassError):
+                    induced_channel(sc)
+                continue
+            got = induced_channel(sc)
+            want = table.conditional_channel(syndrome)
+            for g, w in zip(got.probs, want.probs):
+                assert g == pytest.approx(w, abs=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda m: st.lists(CHANNELS_WITH_ZEROS, min_size=m, max_size=m)))
+    def test_hetero(self, chs):
+        table = enumerate_joint(chs, Basis.Z)
+        for syndrome in itertools.product((0, 1), repeat=len(chs) - 1):
+            for u, v in UV:
+                got = joint_prob_hetero(chs, u, v, syndrome).to_float()
+                want = table.probs.get((syndrome, u, v), 0.0)
+                assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestInducedChannel:

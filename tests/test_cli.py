@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from catcodes import cli
 from catcodes.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -99,8 +100,22 @@ class TestExitCodes:
         assert "column" in capsys.readouterr().err
 
     def test_domain_error(self, capsys):
-        code = main(["rate", "--channel", "depolarizing:p=1.5", "--code", "hashing"])
+        for argv in (
+            ["rate", "--channel", "depolarizing:p=1.5", "--code", "hashing"],  # NoSolutionError
+            ["threshold", "--channel", "depolarizing:p=0", "--code", "hashing", "--tol", "0"],
+        ):
+            assert main(argv) == EXIT_DOMAIN
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_no_bracket_is_a_domain_error(self, monkeypatch, capsys):
+        # No real input leaves the rate positive over the whole admissible range.
+        def no_bracket(*args, **kwargs):
+            raise cli.NoBracketError("rate is positive across the admissible range")
+
+        monkeypatch.setattr(cli, "threshold", no_bracket)
+        code = main(["threshold", "--channel", "depolarizing:p=0", "--code", "hashing"])
         assert code == EXIT_DOMAIN
+        assert "admissible range" in capsys.readouterr().err
 
     def test_resource_error(self, capsys):
         code = main(
