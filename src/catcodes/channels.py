@@ -30,11 +30,9 @@ class Basis(Enum):
 
 
 def _clamped(x: float, what: str) -> float:
-    if x < 0.0:
-        if x < -CLAMP_TOL:
-            raise InvalidDistributionError(f"{what} = {x} is negative beyond tolerance")
-        return 0.0
-    return x
+    if not x >= -CLAMP_TOL:
+        raise InvalidDistributionError(f"{what} = {x} is NaN or negative beyond tolerance")
+    return 0.0 if x < 0.0 else x
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class PauliChannel:
         for name in ("p_i", "p_x", "p_y", "p_z"):
             object.__setattr__(self, name, _clamped(getattr(self, name), name))
         total = self.p_i + self.p_x + self.p_y + self.p_z
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise InvalidDistributionError(f"Pauli probabilities sum to {total}, not 1")
 
     @property
@@ -75,7 +73,7 @@ def entropy4(dist) -> float:
     """Shannon entropy in bits of a 4-outcome distribution, with 0 log 0 = 0."""
     vals = [_clamped(float(d), "probability") for d in dist]
     total = sum(vals)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise InvalidDistributionError(f"distribution sums to {total}, not 1")
     h = 0.0
     for v in vals:
@@ -148,16 +146,15 @@ def make_family(kind: str, params: Mapping[str, float] | None = None) -> Channel
     if kind not in _FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
     if kind == "independent_xz_ratio":
-        ratio = params.get("ratio")
-        if ratio is None or ratio <= 0.0:
-            raise ValueError("independent_xz_ratio needs a positive 'ratio' = q_x/q_z")
+        if not 0.0 < params.get("ratio", math.nan) < math.inf:
+            raise ValueError("independent_xz_ratio needs a finite positive 'ratio' = q_x/q_z")
     elif kind == "custom_ray":
         for key in ("ex", "ey", "ez"):
-            if params.get(key, 0.0) < 0.0:
-                raise ValueError(f"custom_ray direction component {key} must be >= 0")
+            if not 0.0 <= params.get(key, 0.0) < math.inf:
+                raise ValueError(f"custom_ray direction component {key} must be finite and >= 0")
         total = params.get("ex", 0.0) + params.get("ey", 0.0) + params.get("ez", 0.0)
-        if total <= 0.0:
-            raise ValueError("custom_ray needs a nonzero error direction (ex, ey, ez)")
+        if not 0.0 < total < math.inf:
+            raise ValueError("custom_ray needs a nonzero, finite error direction (ex, ey, ez)")
         params = {k: params.get(k, 0.0) / total for k in ("ex", "ey", "ez")}
     elif params:
         raise ValueError(f"family {kind!r} takes no parameters")
@@ -166,7 +163,7 @@ def make_family(kind: str, params: Mapping[str, float] | None = None) -> Channel
 
 def evaluate_family(family: ChannelFamily, p: float) -> PauliChannel:
     """Evaluate the family at total error probability p."""
-    if p < -CLAMP_TOL or p > family.p_max + CLAMP_TOL:
+    if not -CLAMP_TOL <= p <= family.p_max + CLAMP_TOL:
         raise NoSolutionError(f"p = {p} outside [0, {family.p_max}] for {family.kind}")
     p = min(max(p, 0.0), family.p_max)
     if family.kind == "depolarizing":

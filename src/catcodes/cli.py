@@ -9,6 +9,7 @@ so every figure is reproducible from the file alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .oracle import (
     oracle_concat_rate,
     oracle_concat_rate_physical,
 )
-from .search import NoBracketError, best_length_scan, threshold
+from .search import NoBracketError, best_length_scan, code_rate, threshold
 
 CSV_SCHEMA = "catcodes-csv v1"
 MAX_CAT_LENGTH = 4096
@@ -48,7 +49,8 @@ EXIT_RESOURCE = 4
 
 
 class SpecParseError(ValueError):
-    """A channel or code spec string failed to parse; includes a column number."""
+    """A CLI value (spec, length list or p-grid) failed to parse; includes the
+    column where the offending field starts."""
 
     def __init__(self, message: str, text: str, column: int):
         super().__init__(f"{message} (line 1, column {column + 1}): {text!r}")
@@ -63,142 +65,122 @@ class ChannelSpec:
     p: Optional[float]
     canonical: str
 
-    def channel(self) -> PauliChannel:
+    def noise(self) -> float:
         if self.p is None:
             raise SpecParseError("channel spec needs p=<noise>", self.canonical, len(self.canonical))
-        return evaluate_family(self.family, self.p)
+        return self.p
+
+    def channel(self) -> PauliChannel:
+        return evaluate_family(self.family, self.noise())
 
 
-def _parse_fields(body: str, spec: str, offset: int) -> dict[str, float]:
-    fields: dict[str, float] = {}
-    col = offset
-    for part in body.split(",") if body else []:
-        if "=" not in part:
+# CLI channel name -> (family kind, the fields its spec takes).  pauli's
+# px, py, pz are the family's direction scaled by the noise level.
+CHANNELS = {
+    "depolarizing": ("depolarizing", ("p",)),
+    "two-pauli": ("two_pauli", ("p",)),
+    "indep": ("independent_xz_ratio", ("ratio", "p")),
+    "pauli": ("custom_ray", ("px", "py", "pz")),
+}
+# Code spec name -> the fields it takes.
+CODES = {"hashing": (), "cat": ("m", "basis"), "concat": ("inner", "outer")}
+
+
+def _parts(text: str, sep: str = ",", col: int = 0):
+    """(part, column where it starts) of each sep-separated part of text."""
+    for part in text.split(sep):
+        yield part, col
+        col += len(part) + len(sep)
+
+
+def _fields(spec: str, names: dict) -> tuple[str, dict[str, tuple[str, int]]]:
+    """Split name:key=value,... into the name, which must be in `names`, and
+    key -> (value text, column where the field starts), for keys in names[name]."""
+    raw, sep, body = spec.partition(":")
+    name, fields = raw.strip(), {}
+    if name not in names:
+        raise SpecParseError(f"unknown name {name!r}, expected one of {', '.join(names)}", spec, 0)
+    for part, col in _parts(body, col=len(raw) + len(sep)) if body else ():
+        key, eq, val = part.partition("=")
+        key = key.strip()
+        if not eq:
             raise SpecParseError(f"expected key=value, got {part!r}", spec, col)
-        key, _, val = part.partition("=")
-        try:
-            fields[key.strip()] = float(val)
-        except ValueError:
-            raise SpecParseError(f"bad number {val!r} for {key!r}", spec, col + len(key) + 1) from None
-        col += len(part) + 1
-    return fields
+        if key not in names[name]:
+            takes = ", ".join(names[name]) or "no fields"
+            raise SpecParseError(f"{name} takes {takes}, not {key!r}", spec, col)
+        if key in fields:
+            raise SpecParseError(f"repeated field {key!r}", spec, col)
+        fields[key] = (val, col)
+    return name, fields
 
 
-def parse_channel_spec(spec: str) -> ChannelSpec:
-    """Parse grammars like depolarizing:p=0.19, two-pauli:p=0.2,
-    indep:ratio=9,p=0.29, pauli:px=0.1,py=0.0,pz=0.1."""
-    name, sep, body = spec.partition(":")
-    name = name.strip()
-    fields = _parse_fields(body, spec, len(name) + len(sep))
-    p = fields.pop("p", None)
-    if name == "depolarizing":
-        family = make_family("depolarizing")
-        extra = fields
-    elif name == "two-pauli":
-        family = make_family("two_pauli")
-        extra = fields
-    elif name == "indep":
-        if "ratio" not in fields:
-            raise SpecParseError("indep needs ratio=<q_x/q_z>", spec, len(spec))
-        family = make_family("independent_xz_ratio", {"ratio": fields.pop("ratio")})
-        extra = fields
-    elif name == "pauli":
-        px, py, pz = (fields.pop(k, 0.0) for k in ("px", "py", "pz"))
-        extra = fields
-        if p is not None:
-            raise SpecParseError("pauli takes px/py/pz, not p", spec, len(name) + 1)
-        p = px + py + pz
-        if p == 0.0:
-            family = make_family("depolarizing")
-        else:
-            try:
-                family = make_family("custom_ray", {"ex": px, "ey": py, "ez": pz})
-            except ValueError as exc:
-                raise SpecParseError(str(exc), spec, len(name) + 1) from None
-    else:
-        raise SpecParseError(f"unknown channel family {name!r}", spec, 0)
-    if extra:
-        raise SpecParseError(f"unexpected fields {sorted(extra)}", spec, len(name) + 1)
-    return ChannelSpec(family, p, format_channel_spec(family, p))
-
-
-def format_channel_spec(family: ChannelFamily, p: Optional[float]) -> str:
-    tail = "" if p is None else f"p={p:.12g}"
-    if family.kind == "depolarizing":
-        return f"depolarizing:{tail}" if tail else "depolarizing"
-    if family.kind == "two_pauli":
-        return f"two-pauli:{tail}" if tail else "two-pauli"
-    if family.kind == "independent_xz_ratio":
-        ratio = family.param_dict["ratio"]
-        return f"indep:ratio={ratio:.12g}" + (f",{tail}" if tail else "")
-    d = family.param_dict
-    p_val = 0.0 if p is None else p
-    return (
-        f"pauli:px={p_val * d['ex']:.12g},py={p_val * d['ey']:.12g},pz={p_val * d['ez']:.12g}"
-    )
-
-
-def parse_code_spec(spec: str) -> Union[CatCodeSpec, ConcatSpec]:
-    """Parse cat:m=5,basis=Z | concat:inner=3Z,outer=19X | hashing."""
-    name, _, body = spec.partition(":")
-    name = name.strip()
-    if name == "hashing":
-        if body:
-            raise SpecParseError("hashing takes no parameters", spec, len(name) + 1)
-        return CatCodeSpec(1, Basis.Z)
-    if name == "cat":
-        m, basis = 1, Basis.Z
-        col = len(name) + 1
-        for part in body.split(",") if body else []:
-            key, _, val = part.partition("=")
-            if key == "m":
-                m = _parse_length(val, spec, col)
-            elif key == "basis":
-                basis = _parse_basis(val, spec, col)
-            else:
-                raise SpecParseError(f"unknown cat field {key!r}", spec, col)
-            col += len(part) + 1
-        return CatCodeSpec(m, basis)
-    if name == "concat":
-        inner = outer = None
-        col = len(name) + 1
-        for part in body.split(",") if body else []:
-            key, _, val = part.partition("=")
-            if key == "inner":
-                inner = _parse_mini_cat(val, spec, col + len(key) + 1)
-            elif key == "outer":
-                outer = _parse_mini_cat(val, spec, col + len(key) + 1)
-            else:
-                raise SpecParseError(f"unknown concat field {key!r}", spec, col)
-            col += len(part) + 1
-        if inner is None or outer is None:
-            raise SpecParseError("concat needs inner=<mB> and outer=<mB>", spec, len(spec))
-        return ConcatSpec(inner, outer)
-    raise SpecParseError(f"unknown code kind {name!r}", spec, 0)
-
-
-def _parse_length(val: str, spec: str, col: int) -> int:
+def _number(text: str, col: int, spec: str, kind=float):
     try:
-        m = int(val)
+        return kind(text)
     except ValueError:
-        raise SpecParseError(f"bad length {val!r}", spec, col) from None
+        raise SpecParseError(f"bad number {text!r}", spec, col) from None
+
+
+def _length(text: str, col: int, spec: str) -> int:
+    m = _number(text, col, spec, int)
     if not 1 <= m <= MAX_CAT_LENGTH:
         raise SpecParseError(f"length {m} outside [1, {MAX_CAT_LENGTH}]", spec, col)
     return m
 
 
-def _parse_basis(val: str, spec: str, col: int) -> Basis:
+def _basis(text: str, col: int, spec: str) -> Basis:
     try:
-        return Basis[val.strip().upper()]
+        return Basis[text.strip().upper()]
     except KeyError:
-        raise SpecParseError(f"basis must be Z, X, or Y, got {val!r}", spec, col) from None
+        raise SpecParseError(f"basis must be Z, X, or Y, got {text!r}", spec, col) from None
 
 
-def _parse_mini_cat(val: str, spec: str, col: int) -> CatCodeSpec:
-    val = val.strip()
-    if len(val) < 2:
-        raise SpecParseError(f"expected <length><basis> like 3Z, got {val!r}", spec, col)
-    return CatCodeSpec(_parse_length(val[:-1], spec, col), _parse_basis(val[-1], spec, col + len(val) - 1))
+def parse_channel_spec(spec: str) -> ChannelSpec:
+    """Parse grammars like depolarizing:p=0.19, two-pauli:p=0.2,
+    indep:ratio=9,p=0.29, pauli:px=0.1,py=0.0,pz=0.1."""
+    name, fields = _fields(spec, {name: keys for name, (_, keys) in CHANNELS.items()})
+    values = {key: _number(val, col, spec) for key, (val, col) in fields.items()}
+    kind, p = CHANNELS[name][0], values.pop("p", None)
+    if kind == "custom_ray":
+        values = {f"e{key[1]}": values.get(key, 0.0) for key in ("px", "py", "pz")}
+        p = values["ex"] + values["ey"] + values["ez"]
+        if not any(values.values()):  # no noise: the channel of every family at p = 0
+            kind, values = "depolarizing", {}
+    try:
+        family = make_family(kind, values)
+    except ValueError as exc:  # reported at the first of the family's parameters
+        start = min((col for key, (_, col) in fields.items() if key != "p"), default=len(spec))
+        raise SpecParseError(str(exc), spec, start) from None
+    return ChannelSpec(family, p, format_channel_spec(family, p))
+
+
+def format_channel_spec(family: ChannelFamily, p: Optional[float]) -> str:
+    name = next(name for name, (kind, _) in CHANNELS.items() if kind == family.kind)
+    if family.kind == "custom_ray":
+        scale = 0.0 if p is None else p
+        fields = [f"p{key[1]}={scale * e:.12g}" for key, e in family.params]
+    else:
+        fields = [f"{key}={v:.12g}" for key, v in family.params]
+        fields += [] if p is None else [f"p={p:.12g}"]
+    return f"{name}:{','.join(fields)}" if fields else name
+
+
+def parse_code_spec(spec: str) -> Union[CatCodeSpec, ConcatSpec]:
+    """Parse cat:m=5,basis=Z | concat:inner=3Z,outer=19X | hashing."""
+    name, fields = _fields(spec, CODES)
+    if name == "concat":
+        if len(fields) < 2:
+            raise SpecParseError("concat needs inner=<mB> and outer=<mB>", spec, len(spec))
+        return ConcatSpec(*(_mini_cat(*fields[key], spec) for key in ("inner", "outer")))
+    m, basis = fields.get("m", ("1", 0)), fields.get("basis", ("Z", 0))
+    return CatCodeSpec(_length(*m, spec), _basis(*basis, spec))
+
+
+def _mini_cat(text: str, col: int, spec: str) -> CatCodeSpec:
+    text = text.strip()
+    if len(text) < 2:
+        raise SpecParseError(f"expected <length><basis> like 3Z, got {text!r}", spec, col)
+    return CatCodeSpec(_length(text[:-1], col, spec), _basis(text[-1], col, spec))
 
 
 def format_code_spec(code: Union[CatCodeSpec, ConcatSpec]) -> str:
@@ -210,48 +192,39 @@ def format_code_spec(code: Union[CatCodeSpec, ConcatSpec]) -> str:
     return f"cat:m={code.m},basis={code.basis.value}"
 
 
-def _parse_range(text: str, what: str) -> list[int]:
+def _lengths(text: str) -> list[int]:
+    """--inner, or --m-range without lo:hi: a comma list of lengths, each checked as cat:m= is."""
+    return [_length(part, col, text) for part, col in _parts(text)]
+
+
+def _m_range(text: str) -> list[int]:
+    """--m-range: lo:hi, bounds checked before the range is built, or a comma list."""
     lo, sep, hi = text.partition(":")
-    try:
-        if sep:
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise SpecParseError(f"bad {what} {text!r}", text, 0) from None
+    if sep:
+        return list(range(_length(lo, 0, text), _length(hi, len(lo) + 1, text) + 1))
+    return _lengths(text)
 
 
-def _parse_p_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) == 3:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2:
-            return [lo]
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    return [float(v) for v in text.split(",")]
-
-
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def _p_grid(text: str) -> list[float]:
+    """--p-grid: lo:hi:count, evenly spaced, or a comma list."""
+    parts = list(_parts(text, ":"))
+    if len(parts) != 3:
+        return [_number(part, col, text) for part, col in _parts(text)]
+    lo, hi = (_number(part, col, text) for part, col in parts[:2])
+    count = _number(*parts[2], text, int)
+    if count < 2:
+        return [lo]
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 def _write_csv(args, command: str, config: str, header: list[str], rows) -> None:
-    out, close = _open_out(args.out)
-    try:
+    """The schema line, the header and the rows, floats through repr, to --out or stdout."""
+    to_file = args.out not in (None, "-")
+    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
         out.write(f"# {CSV_SCHEMA} | command={command} | {config}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _map(args, fn, items):
@@ -265,11 +238,7 @@ def _map(args, fn, items):
 def cmd_rate(args) -> int:
     chspec = parse_channel_spec(args.channel)
     code = parse_code_spec(args.code)
-    ch = chspec.channel()
-    if isinstance(code, ConcatSpec):
-        value = concat_rate(ch, code)
-    else:
-        value = cat_rate(ch, code)
+    value = code_rate(chspec.family, code, chspec.noise())
     if args.json:
         print(json.dumps({"rate": value, "channel": chspec.canonical, "code": format_code_spec(code)}))
     else:
@@ -306,26 +275,20 @@ def cmd_scan_m(args) -> int:
     code = parse_code_spec(args.code)
     if isinstance(code, ConcatSpec):
         raise SpecParseError("scan-m scans single-level cat codes; use cat:basis=...", args.code, 0)
-    p = args.p if args.p is not None else chspec.p
-    if p is None:
-        raise SpecParseError("scan-m needs --p or a channel spec with p=", args.channel, 0)
-    ms = _parse_range(args.m_range, "m-range")
-    rows, best_m = best_length_scan(chspec.family, p, code.basis, ms)
-    config = (
-        f"channel={format_channel_spec(chspec.family, p)} | basis={code.basis.value}"
-        f" | m-range={args.m_range}"
-    )
+    ms = _m_range(args.m_range)
+    rows, best_m = best_length_scan(chspec.family, chspec.noise(), code.basis, ms)
     if args.json:
         print(
             json.dumps(
                 {
                     "rows": [{"m": r.m, "rate": r.rate} for r in rows],
                     "best_m": best_m,
-                    "channel": format_channel_spec(chspec.family, p),
+                    "channel": chspec.canonical,
                 }
             )
         )
     else:
+        config = f"channel={chspec.canonical} | basis={code.basis.value} | m-range={args.m_range}"
         _write_csv(args, "scan-m", config, ["m", "rate"], [(r.m, r.rate) for r in rows])
     return EXIT_OK
 
@@ -350,8 +313,7 @@ def cmd_figure1(args) -> int:
     code = parse_code_spec(args.code)
     if isinstance(code, ConcatSpec):
         raise SpecParseError("figure1 uses single-level cat codes", args.code, 0)
-    ms = _parse_range(args.m_range, "m-range")
-    ps = _parse_p_grid(args.p_grid)
+    ms, ps = _m_range(args.m_range), _p_grid(args.p_grid)
     chs = [_grid_channel(chspec.family, p) for p in ps]
     columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), chs) for m in ms])
     rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
@@ -370,8 +332,7 @@ def _figure2_row(task) -> tuple:
 
 def cmd_figure2(args) -> int:
     family = parse_channel_spec(args.channel).family
-    ms = _parse_range(args.m_range, "m-range")
-    inners = [int(v) for v in args.inner.split(",")]
+    ms, inners = _m_range(args.m_range), _lengths(args.inner)
     # Labels stay comma-free so the CSV needs no quoting: bare references
     # use outer_m=0 with inner_spec "hashing" or "<m><basis>"; concatenated
     # rows read "<inner>Z-in-<outer>X".
@@ -482,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan-m", help="cat rate vs length at fixed noise")
     _add_flags(p_scan, "channel", "code", "json", "out")
-    p_scan.add_argument("--p", type=float, help="noise level (defaults to the channel spec's p)")
     p_scan.add_argument("--m-range", default="1:40", help="lengths, a:b or comma list")
     p_scan.set_defaults(func=cmd_scan_m)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, Basis, PauliChannel, permute_basis
+from .channels import BASIS_SLOTS, PauliChannel, permute_basis
 from .catcode import CatCodeSpec
 
 # Largest number of (composition, flip-count) cells one rate evaluation sums
@@ -57,17 +57,11 @@ class InducedEnsemble:
     """
 
     entries: tuple[tuple[float, PauliChannel], ...]
-    inner_m: int
-    inner_basis: Basis
     degenerate: tuple[bool, ...]
 
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.entries)
-
-    @property
-    def channels(self) -> tuple[PauliChannel, ...]:
-        return tuple(c for _, c in self.entries)
 
 
 def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
@@ -84,7 +78,7 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> InducedEnsemble:
     log_w, cond = log_w[:, 0].tolist(), cond[:, 0].tolist()
     entries = tuple((math.exp(lw), PauliChannel(*c)) for lw, c in zip(log_w, cond))
     degenerate = tuple(lw == -math.inf for lw in log_w)
-    return InducedEnsemble(entries, spec.m, spec.basis, degenerate)
+    return InducedEnsemble(entries, degenerate)
 
 
 def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channels import Basis, ChannelFamily, evaluate_family, hashing_rate
+from .channels import Basis, ChannelFamily, evaluate_family
 from .catcode import CatCodeSpec, cat_rate, cat_rates
 from .concat import ConcatSpec, concat_rate, concat_rates
 from .degradable import antidegradable
@@ -56,10 +56,10 @@ class ScanRow:
 
 
 def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
-    """Rate of `code` on the family's channel at noise p; code=None means hashing."""
+    """Rate of `code` on the family's channel at noise p; code=None means
+    hashing, the rate of the 1-cat code."""
     ch = evaluate_family(family, p)
-    if code is None:
-        return hashing_rate(ch)
+    code = CatCodeSpec(1) if code is None else code
     if isinstance(code, ConcatSpec):
         return concat_rate(ch, code)
     return cat_rate(ch, code)
@@ -69,8 +69,7 @@ def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
     """`code_rate` at every p of `ps`, evaluated as one batch; each value equals,
     bit for bit, the rate at that p evaluated alone."""
     chs = [evaluate_family(family, p) for p in ps]
-    if code is None:
-        return np.array([hashing_rate(ch) for ch in chs])
+    code = CatCodeSpec(1) if code is None else code
     if isinstance(code, ConcatSpec):
         return concat_rates(chs, code)
     return cat_rates(chs, code)
@@ -169,7 +168,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     Bisection stops at width <= tol, or when no float lies strictly inside
     the bracket.  Every evaluated point counts as one evaluation.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     grid, certified = _pre_scan_grid(family), _certified(family)
     scan = [p for p, skip in zip(grid, certified) if not skip]

@@ -36,6 +36,8 @@ class TestEntropy:
     def test_rejects_negative_component(self):
         with pytest.raises(InvalidDistributionError):
             entropy4((1.1, -0.1, 0.0, 0.0))
+        with pytest.raises(InvalidDistributionError):
+            entropy4((math.nan, 0.0, 0.0, 1.0))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidDistributionError):
@@ -53,6 +55,8 @@ class TestPauliChannel:
     def test_rejects_real_negative(self):
         with pytest.raises(InvalidDistributionError):
             PauliChannel(1.1, -0.1, 0.0, 0.0)
+        with pytest.raises(InvalidDistributionError):
+            PauliChannel(math.nan, 0.0, 0.0, 0.0)
 
     def test_q_marginals(self):
         ch = PauliChannel(0.9, 0.05, 0.02, 0.03)
@@ -128,10 +132,30 @@ class TestFamilies:
             evaluate_family(make_family("depolarizing"), 1.5)
         with pytest.raises(NoSolutionError):
             evaluate_family(make_family("two_pauli"), -0.1)
+        with pytest.raises(NoSolutionError):
+            evaluate_family(make_family("depolarizing"), math.nan)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_family("amplitude_damping")
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("independent_xz_ratio", {}),
+            ("independent_xz_ratio", {"ratio": -1.0}),
+            ("independent_xz_ratio", {"ratio": math.nan}),
+            ("independent_xz_ratio", {"ratio": math.inf}),
+            ("custom_ray", {}),
+            ("custom_ray", {"ex": -0.1, "ez": 1.0}),
+            ("custom_ray", {"ex": math.nan}),
+            ("custom_ray", {"ez": math.inf}),
+            ("depolarizing", {"p": 0.1}),
+        ],
+    )
+    def test_invalid_parameters(self, kind, params):
+        with pytest.raises(ValueError):
+            make_family(kind, params)
 
 
 class TestPermuteBasis:

@@ -7,13 +7,17 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catcodes import cli
+from catcodes.channels import _FAMILY_KINDS, evaluate_family, make_family
 from catcodes.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    SpecParseError,
     build_parser,
     format_channel_spec,
     format_code_spec,
@@ -54,12 +58,56 @@ class TestSpecParsing:
         ],
     )
     def test_errors_carry_column(self, text, column):
-        from catcodes.cli import SpecParseError
-
         parse = parse_channel_spec if ":p=" in text or ":q=" in text else parse_code_spec
         with pytest.raises(SpecParseError) as err:
             parse(text)
         assert err.value.column == column
+
+    @pytest.mark.parametrize("kind", _FAMILY_KINDS)
+    def test_every_family_kind_round_trips(self, kind):
+        # A family kind with no CLI name fails here.
+        params = {"independent_xz_ratio": {"ratio": 9.0}, "custom_ray": {"ex": 1.0, "ez": 3.0}}
+        family = make_family(kind, params.get(kind))
+        spec = parse_channel_spec(format_channel_spec(family, 0.2))
+        assert spec.family.kind == kind
+        assert spec.channel().probs == pytest.approx(evaluate_family(family, 0.2).probs, abs=1e-12)
+
+    def test_lengths_are_checked_before_the_range_is_built(self):
+        with pytest.raises(SpecParseError) as err:
+            cli._m_range("1:100000000")
+        assert err.value.column == 2
+
+
+SPEC_TOKENS = [
+    "depolarizing", "two-pauli", "indep", "pauli", "hashing", "cat", "concat", "p", "px",
+    "ratio", "m", "basis", "inner", "outer", ":", ",", "=", " ", "0", "1", "-1", "0.2",
+    "nan", "inf", "1e400", "3Z", "5x", "Q", "4097",
+]
+
+
+class TestReadersOnArbitraryText:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from(SPEC_TOKENS), max_size=10).map("".join),
+        )
+    )
+    def test_spec_and_length_readers_raise_only_spec_errors(self, text):
+        for read in (parse_channel_spec, parse_code_spec, cli._lengths, cli._m_range):
+            try:
+                read(text)
+            except SpecParseError:
+                pass
+
+    # Short texts: a lo:hi:count grid of up to 10**5 points.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=9), st.text(alphabet="0123456789.-e:,naif ", max_size=9)))
+    def test_grid_reader_raises_only_spec_errors(self, text):
+        try:
+            cli._p_grid(text)
+        except SpecParseError:
+            pass
 
 
 class TestRateCommand:
@@ -103,6 +151,8 @@ class TestExitCodes:
         for argv in (
             ["rate", "--channel", "depolarizing:p=1.5", "--code", "hashing"],  # NoSolutionError
             ["threshold", "--channel", "depolarizing:p=0", "--code", "hashing", "--tol", "0"],
+            ["rate", "--channel", "depolarizing:p=nan", "--code", "hashing"],
+            ["threshold", "--channel", "depolarizing:p=0", "--code", "hashing", "--tol", "nan"],
         ):
             assert main(argv) == EXIT_DOMAIN
             assert capsys.readouterr().err.startswith("error: ")
@@ -132,6 +182,27 @@ class TestExitCodes:
     def test_oversized_cat_rejected(self, capsys):
         code = main(["rate", "--channel", "depolarizing:p=0.1", "--code", "cat:m=5000"])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid abc",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.2:0.3:x",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid=",
+            "figure2 --channel depolarizing:p=0 --inner a",
+            "figure2 --channel depolarizing:p=0 --inner 3,0",
+            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4097",
+            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 0:3",
+            "rate --channel indep:ratio=-1,p=0.1 --code hashing",
+            "rate --channel indep:ratio=nan,p=0.1 --code hashing",
+            "rate --channel pauli:px=nan --code hashing",
+            "rate --channel depolarizing:p=0.1,p=0.2 --code hashing",
+            "rate --channel depolarizing:p=0.1 --code cat:m=3,m=5",
+        ],
+    )
+    def test_malformed_value_is_a_parse_error_with_a_column(self, argv, capsys):
+        assert main(argv.split()) == EXIT_PARSE
+        assert "column" in capsys.readouterr().err
 
 
 class TestThresholdCommand:
