@@ -30,7 +30,6 @@ from .catcode import (
 from .concat import (
     CompositionLimitError,
     ConcatSpec,
-    InducedEnsemble,
     concat_rate,
     concat_rates,
     induced_ensemble,

@@ -132,12 +132,11 @@ def _outer_product(parts: list) -> np.ndarray:
     return grid.reshape(grid.shape[:2] + (-1,))
 
 
-def _conditionals(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint probabilities (4, P, half) over the first half of the cells, in
-    slot order I, X, Y, Z, and the weights a0 + a1 (P, half)."""
-    half = (grid.shape[2] + 1) // 2
-    a0, b0 = grid[:, :, :half]
-    a1, b1 = grid[:, :, ::-1][:, :, :half]
+def _conditionals(grid: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint probabilities (4, P, count) of the first `count` cells, each paired
+    with its mirror, in slot order I, X, Y, Z, and the weights a0 + a1 (P, count)."""
+    a0, b0 = grid[:, :, :count]
+    a1, b1 = grid[:, :, ::-1][:, :, :count]
     cond = np.empty((4,) + a0.shape)
     np.add(a0, b0, out=cond[0])
     np.add(a1, b1, out=cond[1])
@@ -200,7 +199,7 @@ def _rate_sums(ens: Ensemble, big_m: int) -> np.ndarray:
         if not scale.any():  # every point's composition weight is 0
             continue
         cells = math.prod(k + 1 for k in comp)
-        total += scale * _half_sum(*_conditionals(_outer_product(parts)), cells)
+        total += scale * _half_sum(*_conditionals(_outer_product(parts), (cells + 1) // 2), cells)
     return total
 
 
@@ -215,14 +214,11 @@ def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     probability 0, and conditional logical channels (n, P, 4) in slot order
     I, X, Y, Z (noiseless for a class of probability 0)."""
     vec, log_k = _class_vectors(physical(probs), 0, n)
-    a0, b0 = vec[:, :, :n]
-    a1, b1 = vec[:, :, ::-1][:, :, :n]
-    weight = a0 + a1
-    cond = np.stack((a0 + b0, a1 + b1, a1 - b1, a0 - b0), axis=-1)
+    cond, weight = _conditionals(vec, n)
     zero = weight == 0.0
-    cond /= 2.0 * np.where(zero, 1.0, weight)[..., None]
+    cond /= 2.0 * np.where(zero, 1.0, weight)
     np.maximum(cond, 0.0, out=cond)
-    cond[zero] = (1.0, 0.0, 0.0, 0.0)
+    cond[:, zero] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
     # A class's weight is C(n-1, r) (A0 + A1) = C(n, r) (A0 + A1) (n - r) / n.
     log_w = log_k[:, None] + _log(weight) + np.log((n - np.arange(n)) / n)
-    return log_w.T, np.moveaxis(cond, 0, 1)
+    return log_w.T, cond.T

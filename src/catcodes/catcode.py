@@ -74,14 +74,6 @@ class SyndromeClass:
     multiplicity: int
     joint: tuple[SignedLog, SignedLog, SignedLog, SignedLog]
 
-    def log_class_weight(self) -> float:
-        """log of multiplicity times the per-vector class total; -inf if zero."""
-        total = self.total()
-        if total.sign <= 0:
-            return -math.inf
-        # math.log takes the exact int: multiplicities for m in the thousands exceed float range.
-        return math.log(self.multiplicity) + total.logmag
-
     def total(self) -> SignedLog:
         top = max(j.logmag for j in self.joint)
         if top == -math.inf:

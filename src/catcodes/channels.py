@@ -121,21 +121,6 @@ class ChannelFamily:
     kind: str
     params: tuple[tuple[str, float], ...] = ()
 
-    @property
-    def param_dict(self) -> dict[str, float]:
-        return dict(self.params)
-
-    @property
-    def p_max(self) -> float:
-        """Largest admissible total error probability for this family."""
-        return 1.0
-
-    def describe(self) -> str:
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params)
-        return f"{self.kind}({inner})"
-
 
 _FAMILY_KINDS = ("depolarizing", "two_pauli", "independent_xz_ratio", "custom_ray")
 
@@ -162,16 +147,16 @@ def make_family(kind: str, params: Mapping[str, float] | None = None) -> Channel
 
 
 def evaluate_family(family: ChannelFamily, p: float) -> PauliChannel:
-    """Evaluate the family at total error probability p."""
-    if not -CLAMP_TOL <= p <= family.p_max + CLAMP_TOL:
-        raise NoSolutionError(f"p = {p} outside [0, {family.p_max}] for {family.kind}")
-    p = min(max(p, 0.0), family.p_max)
+    """Evaluate the family at total error probability p in [0, 1]."""
+    if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
+        raise NoSolutionError(f"p = {p} outside [0, 1.0] for {family.kind}")
+    p = min(max(p, 0.0), 1.0)
     if family.kind == "depolarizing":
         return PauliChannel(1.0 - p, p / 3.0, p / 3.0, p / 3.0)
     if family.kind == "two_pauli":
         return PauliChannel(1.0 - p, p / 2.0, 0.0, p / 2.0)
     if family.kind == "independent_xz_ratio":
-        ratio = family.param_dict["ratio"]
+        ratio = dict(family.params)["ratio"]
         q_z = _solve_independent_qz(ratio, p)
         q_x = ratio * q_z
         return PauliChannel(
@@ -180,7 +165,7 @@ def evaluate_family(family: ChannelFamily, p: float) -> PauliChannel:
             q_x * q_z,
             q_z * (1.0 - q_x),
         )
-    d = family.param_dict
+    d = dict(family.params)
     return PauliChannel(1.0 - p, p * d["ex"], p * d["ey"], p * d["ez"])
 
 
@@ -190,12 +175,8 @@ def _solve_independent_qz(ratio: float, p: float) -> float:
     Independence of amplitude and phase errors with q_x = ratio * q_z gives
     total error p = q_z + q_x - q_z*q_x; this is the smaller quadratic root.
     """
-    b = 1.0 + ratio
-    disc = b * b - 4.0 * ratio * p
-    if disc < 0.0:
-        raise NoSolutionError(f"no independent-XZ channel with ratio {ratio} at p = {p}")
+    # (1 + ratio)^2 - 4 ratio p as a sum of terms >= 0 for p in [0, 1], so
+    # that it does not cancel near ratio = 1, p = 1.
+    disc = (1.0 - ratio) * (1.0 - ratio) + 4.0 * ratio * (1.0 - p)
     # Smaller root, written to avoid cancellation when p is tiny.
-    q = 2.0 * p / (b + math.sqrt(disc))
-    if q < 0.0 or q > 1.0:
-        raise NoSolutionError(f"independent-XZ solution q_z = {q} outside [0, 1]")
-    return q
+    return 2.0 * p / (1.0 + ratio + math.sqrt(disc))

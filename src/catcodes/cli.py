@@ -75,7 +75,8 @@ class ChannelSpec:
 
 
 # CLI channel name -> (family kind, the fields its spec takes).  pauli's
-# px, py, pz are the family's direction scaled by the noise level.
+# px, py, pz are the family's direction scaled by the noise level; without
+# one they are the direction, normalized to sum 1.
 CHANNELS = {
     "depolarizing": ("depolarizing", ("p",)),
     "two-pauli": ("two_pauli", ("p",)),
@@ -122,9 +123,10 @@ def _number(text: str, col: int, spec: str, kind=float):
 
 
 def _length(text: str, col: int, spec: str) -> int:
+    """A cat length, or a --p-grid count: an integer in [1, MAX_CAT_LENGTH]."""
     m = _number(text, col, spec, int)
     if not 1 <= m <= MAX_CAT_LENGTH:
-        raise SpecParseError(f"length {m} outside [1, {MAX_CAT_LENGTH}]", spec, col)
+        raise SpecParseError(f"{m} outside [1, {MAX_CAT_LENGTH}]", spec, col)
     return m
 
 
@@ -157,7 +159,7 @@ def parse_channel_spec(spec: str) -> ChannelSpec:
 def format_channel_spec(family: ChannelFamily, p: Optional[float]) -> str:
     name = next(name for name, (kind, _) in CHANNELS.items() if kind == family.kind)
     if family.kind == "custom_ray":
-        scale = 0.0 if p is None else p
+        scale = 1.0 if p is None else p
         fields = [f"p{key[1]}={scale * e:.12g}" for key, e in family.params]
     else:
         fields = [f"{key}={v:.12g}" for key, v in family.params]
@@ -198,21 +200,24 @@ def _lengths(text: str) -> list[int]:
 
 
 def _m_range(text: str) -> list[int]:
-    """--m-range: lo:hi, bounds checked before the range is built, or a comma list."""
+    """--m-range: lo:hi with lo <= hi, checked before the range is built, or a comma list."""
     lo, sep, hi = text.partition(":")
-    if sep:
-        return list(range(_length(lo, 0, text), _length(hi, len(lo) + 1, text) + 1))
-    return _lengths(text)
+    if not sep:
+        return _lengths(text)
+    first, last = _length(lo, 0, text), _length(hi, len(lo) + 1, text)
+    if last < first:
+        raise SpecParseError(f"range end {last} is below its start {first}", text, len(lo) + 1)
+    return list(range(first, last + 1))
 
 
 def _p_grid(text: str) -> list[float]:
-    """--p-grid: lo:hi:count, evenly spaced, or a comma list."""
+    """--p-grid: lo:hi:count, evenly spaced, the count checked as a length is; or a comma list."""
     parts = list(_parts(text, ":"))
     if len(parts) != 3:
         return [_number(part, col, text) for part, col in _parts(text)]
     lo, hi = (_number(part, col, text) for part, col in parts[:2])
-    count = _number(*parts[2], text, int)
-    if count < 2:
+    count = _length(*parts[2], text)
+    if count == 1:
         return [lo]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 

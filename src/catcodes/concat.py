@@ -45,25 +45,6 @@ class ConcatSpec:
     outer: CatCodeSpec
 
 
-@dataclass(frozen=True)
-class InducedEnsemble:
-    """Weighted logical channels produced by an inner cat code.
-
-    Entry t corresponds to inner syndrome weight t; its channel is the
-    conditional logical Pauli channel with labels identified with the code's
-    logical operator algebra (logical X maps to the X slot), so an outer code
-    may be built over these channels in any basis.  Zero-probability classes
-    are kept with weight 0 and a placeholder channel, flagged in `degenerate`.
-    """
-
-    entries: tuple[tuple[float, PauliChannel], ...]
-    degenerate: tuple[bool, ...]
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self.entries)
-
-
 def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
     # A length-1 code has no stabilizers; its logical frame is the physical one,
     # so the basis label is ignored and the degenerate reduction returns the
@@ -72,13 +53,14 @@ def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
     return np.array(probs).reshape(-1, 4)
 
 
-def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> InducedEnsemble:
-    """Ensemble of induced logical channels of the cat code, one per weight class."""
+def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, PauliChannel], ...]:
+    """(weight, logical channel conditioned on a weight-r syndrome) of the cat
+    code for r = 0..m-1.  Logical X maps to the X slot, so an outer code may be
+    built over these channels in any basis.  A class of probability 0 is kept,
+    with weight 0 and a noiseless placeholder channel."""
     log_w, cond = _kernel.inner_ensemble(_inner_probs([ch], spec), spec.m)
-    log_w, cond = log_w[:, 0].tolist(), cond[:, 0].tolist()
-    entries = tuple((math.exp(lw), PauliChannel(*c)) for lw, c in zip(log_w, cond))
-    degenerate = tuple(lw == -math.inf for lw in log_w)
-    return InducedEnsemble(entries, degenerate)
+    return tuple((math.exp(lw), PauliChannel(*c))
+                 for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))
 
 
 def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:

@@ -5,20 +5,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .channels import Basis, ChannelFamily, evaluate_family
 from .catcode import CatCodeSpec, cat_rate, cat_rates
-from .concat import ConcatSpec, concat_rate, concat_rates
+from .concat import ConcatSpec, concat_rates
 from .degradable import antidegradable
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
 
-# Points of the coarse grid over the admissible range that `threshold` scans
-# for sign changes before it bisects.
+# Points of the coarse grid over the admissible range [0, 1] that `threshold`
+# scans for sign changes before it bisects.
 PRE_SCAN_POINTS = 64
+_PRE_SCAN_GRID = tuple((i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS))
 # Bisection levels whose midpoints `threshold` evaluates as one batch: up to
 # 2**3 - 1 = 7 points, which cost little more than one.
 BISECTION_LEVELS_PER_BATCH = 3
@@ -55,29 +56,24 @@ class ScanRow:
     threshold: Optional[float] = None
 
 
-def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
-    """Rate of `code` on the family's channel at noise p; code=None means
-    hashing, the rate of the 1-cat code."""
-    ch = evaluate_family(family, p)
-    code = CatCodeSpec(1) if code is None else code
-    if isinstance(code, ConcatSpec):
-        return concat_rate(ch, code)
-    return cat_rate(ch, code)
-
-
-def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
-    """`code_rate` at every p of `ps`, evaluated as one batch; each value equals,
-    bit for bit, the rate at that p evaluated alone."""
-    chs = [evaluate_family(family, p) for p in ps]
+def _rates(chs, code: CodeSpec) -> np.ndarray:
+    """Rates of `code` on each channel of `chs`, as one batch; None is hashing."""
     code = CatCodeSpec(1) if code is None else code
     if isinstance(code, ConcatSpec):
         return concat_rates(chs, code)
     return cat_rates(chs, code)
 
 
-def _pre_scan_grid(family: ChannelFamily) -> list[float]:
-    p_max = family.p_max
-    return [p_max * (i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)]
+def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
+    """Rate of `code` on the family's channel at noise p; code=None means
+    hashing, the rate of the 1-cat code."""
+    return float(_rates([evaluate_family(family, p)], code)[0])
+
+
+def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
+    """`code_rate` at every p of `ps`, evaluated as one batch; each value equals,
+    bit for bit, the rate at that p evaluated alone."""
+    return _rates([evaluate_family(family, p) for p in ps], code)
 
 
 @functools.lru_cache(maxsize=64)
@@ -85,7 +81,7 @@ def _certified(family: ChannelFamily) -> tuple[bool, ...]:
     """Which pre-scan points are certified antidegradable, so rate <= 0 for
     every code.  Depends only on the family, since the grid is fixed; cached
     because `best_threshold_scan` asks for it once per length."""
-    return tuple(antidegradable(evaluate_family(family, p)) for p in _pre_scan_grid(family))
+    return tuple(antidegradable(evaluate_family(family, p)) for p in _PRE_SCAN_GRID)
 
 
 def _split(a: float, b: float, tol: float) -> Optional[float]:
@@ -170,8 +166,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    grid, certified = _pre_scan_grid(family), _certified(family)
-    scan = [p for p, skip in zip(grid, certified) if not skip]
+    scan = [p for p, skip in zip(_PRE_SCAN_GRID, _certified(family)) if not skip]
     known = dict(zip([0.0] + scan, map(float, code_rates(family, code, [0.0] + scan))))
     evals, batches = 1 + len(scan), 1
     if known[0.0] <= 0.0:
@@ -180,7 +175,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     # Certified points are not in `known` and count as rate <= 0.
     crossings = []
     prev_p, prev_positive = 0.0, True
-    for p in grid:
+    for p in _PRE_SCAN_GRID:
         positive = known.get(p, 0.0) > 0.0
         if prev_positive and not positive:
             crossings.append((prev_p, p))
@@ -210,23 +205,26 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     )
 
 
+def _scan(m_range, value: Callable[[int], float]) -> tuple[list[tuple[int, float]], int]:
+    """(m, value(m)) for each distinct m of m_range in increasing order, and the
+    m of the largest value; ties go to the smallest m (cheaper code)."""
+    ms = sorted(set(int(m) for m in m_range))
+    if not ms:
+        raise ValueError("m_range is empty")
+    pairs = [(m, value(m)) for m in ms]
+    return pairs, max(pairs, key=lambda pair: (pair[1], -pair[0]))[0]
+
+
 def best_length_scan(
     family: ChannelFamily,
     p: float,
     basis: Basis,
     m_range,
 ) -> tuple[list[ScanRow], int]:
-    """Rate of each cat length at fixed noise; returns rows and the argmax m.
-
-    Ties go to the smallest m (cheaper code at equal rate).
-    """
-    ms = sorted(set(int(m) for m in m_range))
-    if not ms:
-        raise ValueError("m_range is empty")
+    """Rate of each cat length at fixed noise; returns rows and the argmax m."""
     ch = evaluate_family(family, p)
-    rows = [ScanRow(m, rate=cat_rate(ch, CatCodeSpec(m, basis))) for m in ms]
-    best = max(rows, key=lambda row: (row.rate, -row.m))
-    return rows, best.m
+    pairs, best = _scan(m_range, lambda m: cat_rate(ch, CatCodeSpec(m, basis)))
+    return [ScanRow(m, rate=v) for m, v in pairs], best
 
 
 def best_threshold_scan(
@@ -236,15 +234,8 @@ def best_threshold_scan(
     tol: float = 1e-6,
 ) -> tuple[list[ScanRow], int]:
     """Zero-rate threshold of each cat length; returns rows and the argmax m."""
-    ms = sorted(set(int(m) for m in m_range))
-    if not ms:
-        raise ValueError("m_range is empty")
-    rows = []
-    for m in ms:
-        res = threshold(family, CatCodeSpec(m, basis), tol=tol)
-        rows.append(ScanRow(m, threshold=res.p_star))
-    best = max(rows, key=lambda row: (row.threshold, -row.m))
-    return rows, best.m
+    pairs, best = _scan(m_range, lambda m: threshold(family, CatCodeSpec(m, basis), tol=tol).p_star)
+    return [ScanRow(m, threshold=v) for m, v in pairs], best
 
 
 def rule_of_thumb_lengths(q_z: float, p_z: float) -> tuple[float, float]:

@@ -127,6 +127,17 @@ class TestFamilies:
         # independence structure
         assert ch.p_y == pytest.approx(q_x * q_z, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 10, 26, 27, 40, 52, 53])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_independent_ratio_near_one_at_full_noise(self, k, sign):
+        # At ratio ~ 1 and p ~ 1, (1 + ratio)^2 - 4 ratio p cancels; the
+        # channel must still be a valid distribution.
+        ratio = 1.0 + sign * 2.0**-k
+        for p in (1.0, 1.0 - 1e-16):
+            ch = evaluate_family(make_family("independent_xz_ratio", {"ratio": ratio}), p)
+            assert min(ch.probs) >= 0.0
+            assert ch.q_x + ch.q_z - ch.q_x * ch.q_z == pytest.approx(p, abs=1e-12)
+
     def test_out_of_range_p(self):
         with pytest.raises(NoSolutionError):
             evaluate_family(make_family("depolarizing"), 1.5)

@@ -68,9 +68,14 @@ class TestSpecParsing:
         # A family kind with no CLI name fails here.
         params = {"independent_xz_ratio": {"ratio": 9.0}, "custom_ray": {"ex": 1.0, "ez": 3.0}}
         family = make_family(kind, params.get(kind))
+        want = evaluate_family(family, 0.2).probs
         spec = parse_channel_spec(format_channel_spec(family, 0.2))
         assert spec.family.kind == kind
-        assert spec.channel().probs == pytest.approx(evaluate_family(family, 0.2).probs, abs=1e-12)
+        assert spec.channel().probs == pytest.approx(want, abs=1e-12)
+        # Without a noise level, as in CSV headers, the family itself comes back.
+        spec = parse_channel_spec(format_channel_spec(family, None))
+        assert spec.family.kind == kind
+        assert evaluate_family(spec.family, 0.2).probs == pytest.approx(want, abs=1e-12)
 
     def test_lengths_are_checked_before_the_range_is_built(self):
         with pytest.raises(SpecParseError) as err:
@@ -100,7 +105,7 @@ class TestReadersOnArbitraryText:
             except SpecParseError:
                 pass
 
-    # Short texts: a lo:hi:count grid of up to 10**5 points.
+    # Short texts; a lo:hi:count grid has at most 4096 points.
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=9), st.text(alphabet="0123456789.-e:,naif ", max_size=9)))
     def test_grid_reader_raises_only_spec_errors(self, text):
@@ -189,10 +194,15 @@ class TestExitCodes:
             "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid abc",
             "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.2:0.3:x",
             "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid=",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0:1:100000000",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.1:0.2:0",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.1:0.2:-5",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --m-range 4:2",
             "figure2 --channel depolarizing:p=0 --inner a",
             "figure2 --channel depolarizing:p=0 --inner 3,0",
             "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4097",
             "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 0:3",
+            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4:2",
             "rate --channel indep:ratio=-1,p=0.1 --code hashing",
             "rate --channel indep:ratio=nan,p=0.1 --code hashing",
             "rate --channel pauli:px=nan --code hashing",

@@ -32,8 +32,8 @@ class TestInducedEnsemble:
         for ch in channels20[:5]:
             for basis in Basis:
                 ens = induced_ensemble(ch, CatCodeSpec(1, basis))
-                assert len(ens.entries) == 1
-                weight, induced = ens.entries[0]
+                assert len(ens) == 1
+                weight, induced = ens[0]
                 assert weight == pytest.approx(1.0, abs=1e-14)
                 for got, want in zip(induced.probs, ch.probs):
                     assert got == pytest.approx(want, abs=1e-14)
@@ -42,7 +42,7 @@ class TestInducedEnsemble:
     def test_weights_normalized(self, m, channels20):
         for ch in channels20:
             ens = induced_ensemble(ch, CatCodeSpec(m))
-            assert sum(ens.weights) == pytest.approx(1.0, abs=1e-12)
+            assert sum(weight for weight, _ in ens) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_enumeration(self, m, channels20):
@@ -50,7 +50,7 @@ class TestInducedEnsemble:
             ens = induced_ensemble(ch, CatCodeSpec(m))
             table = enumerate_joint([ch] * m, Basis.Z)
             marginals = table.syndrome_marginals()
-            for (weight, induced), r in zip(ens.entries, range(m)):
+            for (weight, induced), r in zip(ens, range(m)):
                 syndrome = tuple(1 if i < r else 0 for i in range(m - 1))
                 per_syndrome = marginals[syndrome]
                 count = sum(1 for s in marginals if sum(s) == r)
@@ -62,10 +62,9 @@ class TestInducedEnsemble:
     def test_zero_weight_classes_flagged_not_dropped(self):
         ch = PauliChannel(0.9, 0.0, 0.0, 0.1)  # no amplitude flips
         ens = induced_ensemble(ch, CatCodeSpec(3))
-        assert len(ens.entries) == 3
-        assert ens.degenerate == (False, True, True)
-        assert ens.weights[1] == 0.0
-        assert ens.weights[2] == 0.0
+        assert len(ens) == 3
+        assert [weight == 0.0 for weight, _ in ens] == [False, True, True]
+        assert ens[1][1].probs == ens[2][1].probs == (1.0, 0.0, 0.0, 0.0)
 
 
 class TestConcatRate:

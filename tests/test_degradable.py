@@ -303,7 +303,7 @@ class TestAntidegradable:
             make_family("independent_xz_ratio", {"ratio": 9.0}),
             make_family("custom_ray", {"ex": 1.0, "ez": 2.0}),
         ],
-        ids=lambda fam: fam.describe(),
+        ids=lambda fam: fam.kind,
     )
     def test_no_code_has_positive_rate_on_certified_grid_points(self, fam):
         grid = [(i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)]

@@ -47,7 +47,7 @@ def plain_threshold(family, code, tol, rate=None):
     """(p_star, bracket, warning) of the plain search: p = 0 and 64 pre-scan
     points, every one evaluated, then bisection one point at a time.  `rate`,
     if given, is a function of p that stands in for the code's rate."""
-    grid = [family.p_max * (i + 1) / 64 for i in range(64)]
+    grid = [(i + 1) / 64 for i in range(64)]
     if rate is None:
         at_zero, *values = code_rates(family, code, [0.0] + grid)
     else:
