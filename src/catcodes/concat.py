@@ -57,7 +57,9 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
     """(weight, logical channel conditioned on a weight-r syndrome) of the cat
     code for r = 0..m-1.  Logical X maps to the X slot, so an outer code may be
     built over these channels in any basis.  A class of probability 0 is kept,
-    with weight 0 and a noiseless placeholder channel."""
+    with weight 0 and a noiseless placeholder channel; a weight of 0 alone does
+    not mark such a class, since exp of a finite log weight below about -745
+    underflows to 0 too."""
     log_w, cond = _kernel.inner_ensemble(_inner_probs([ch], spec), spec.m)
     return tuple((math.exp(lw), PauliChannel(*c))
                  for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))

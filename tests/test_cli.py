@@ -76,6 +76,12 @@ class TestSpecParsing:
         spec = parse_channel_spec(format_channel_spec(family, None))
         assert spec.family.kind == kind
         assert evaluate_family(spec.family, 0.2).probs == pytest.approx(want, abs=1e-12)
+        # A pauli header is the direction scaled to sum 1, so it reads back as
+        # the channel at p = 1; the other headers carry no p at all.
+        if kind == "custom_ray":
+            assert spec.p == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert spec.p is None
 
     def test_lengths_are_checked_before_the_range_is_built(self):
         with pytest.raises(SpecParseError) as err:
