@@ -15,10 +15,11 @@ and h is the entropy of the conditional logical channel
 the one-class case (w = 1, M = m); a concatenated code's classes are the
 inner code's syndrome-weight classes (`inner_ensemble`).
 
-Every array carries the noise points on its leading axis P, so one call
-evaluates a whole p-grid; reductions run over the last, contiguous axis and
-all other operations are elementwise, so a point's rate does not depend on
-the batch it is evaluated in.  Per (class, k_t), the p-dependent vectors over
+Class arrays are (n, P, ...), so one call evaluates a whole p-grid: `rate_sums`
+takes the classes' log weights (n, P) and channels (n, P, 4), and `factors`
+derives their logs and signs.  Reductions run over the last, contiguous axis and
+all other operations are elementwise, so a point's rate does not depend on the
+batch it is evaluated in.  Per (class, k_t), the p-dependent vectors over
 j_t are built in log domain with log binomials from `math.lgamma` and scaled
 by their own maximum, so lengths in the thousands neither underflow nor
 overflow; a cell's products are then plain products of these vectors, and
@@ -33,26 +34,24 @@ so only the first half of the cells is evaluated.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 TINY = np.finfo(float).tiny
-# Largest points x cells of one composition evaluated at once.  Wider batches
-# are split along the points, which keeps a composition's temporaries (about
-# 40 bytes per point and cell) under 1 MB.
+# Largest points x cells of one composition evaluated at once: `rate_sums` takes
+# max(1, CELL_BUDGET // cells) points at a time, cells of the largest composition,
+# keeping a composition's temporaries (about 40 bytes per point and cell) under 1 MB.
 CELL_BUDGET = 1 << 14
 
 
 def _compositions(total: int, parts: int):
-    """Compositions of `total` into `parts` counts >= 0, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Compositions of `total` into `parts` counts >= 0, in lexicographic order:
+    stars and bars, with the parts - 1 bars' positions in lexicographic order."""
+    ends = (total + parts - 1,)
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
 
 
 def _powers(log_x: np.ndarray, k: int) -> np.ndarray:
@@ -66,61 +65,42 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)
 
 
-class Ensemble(NamedTuple):
-    """n weighted channel classes at P noise points; every array is (n, P).
-
-    log_w is the class log weight (-inf for a class of weight 0, whose
-    channel is a noiseless placeholder); the rest are the logs of alpha,
-    abar, |beta| and |bbar| and the signs of beta and bbar (True if < 0).
-    """
-
-    log_w: np.ndarray
-    log_a: np.ndarray
-    log_abar: np.ndarray
-    log_b: np.ndarray
-    log_bbar: np.ndarray
-    neg_b: np.ndarray
-    neg_bbar: np.ndarray
-
-    @staticmethod
-    def from_probs(probs: np.ndarray, log_w: np.ndarray) -> "Ensemble":
-        """Classes from conditional probabilities (n, P, 4) in slot order I, X, Y, Z."""
-        p_i, p_x, p_y, p_z = np.moveaxis(probs, -1, 0)
-        beta, bbar = p_x - p_y, p_i - p_z
-        return Ensemble(log_w, _log(p_x + p_y), _log(p_i + p_z), _log(np.abs(beta)),
-                        _log(np.abs(bbar)), beta < 0.0, bbar < 0.0)
-
-    def points(self, sl: slice) -> "Ensemble":
-        """The same classes at a slice of the noise points."""
-        return Ensemble(*(a[:, sl] for a in self))
+def factors(probs: np.ndarray) -> tuple:
+    """The logs of alpha, abar, |beta| and |bbar| and the signs of beta and bbar
+    (True if < 0) of channels (..., 4) in slot order I, X, Y, Z, each (...)."""
+    p_i, p_x, p_y, p_z = np.moveaxis(probs, -1, 0)
+    beta, bbar = p_x - p_y, p_i - p_z
+    return (_log(p_x + p_y), _log(p_i + p_z), _log(np.abs(beta)), _log(np.abs(bbar)),
+            beta < 0.0, bbar < 0.0)
 
 
-def log_vectors(ens: Ensemble, t: int, log_c: np.ndarray):
-    """Unscaled log a0 and log |b0| of class t over flip counts j = 0..k, each
-    (P, k+1) with log_c[j] added, and the sign of b0 (+1.0 or -1.0)."""
+def log_vectors(factors: tuple, log_c: np.ndarray):
+    """Unscaled log a0 and log |b0| over flip counts j = 0..k of one class with `factors`
+    at P points, each (P, k+1) with log_c[j] added, and the sign of b0 (+1.0 or -1.0)."""
+    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = factors
     k = len(log_c) - 1
-    log_a0 = log_c + _powers(ens.log_a[t], k) + _powers(ens.log_abar[t], k)[:, ::-1]
-    log_b0 = log_c + _powers(ens.log_b[t], k) + _powers(ens.log_bbar[t], k)[:, ::-1]
+    log_a0 = log_c + _powers(log_a, k) + _powers(log_abar, k)[:, ::-1]
+    log_b0 = log_c + _powers(log_b, k) + _powers(log_bbar, k)[:, ::-1]
     alternating = np.ones(k + 1)
     alternating[1::2] = -1.0  # (-1)^j; reversed, (-1)^(k-j)
-    sign_b0 = (np.where(ens.neg_b[t][:, None], alternating, 1.0)
-               * np.where(ens.neg_bbar[t][:, None], alternating[::-1], 1.0))
+    sign_b0 = (np.where(neg_b[:, None], alternating, 1.0)
+               * np.where(neg_bbar[:, None], alternating[::-1], 1.0))
     return log_a0, log_b0, sign_b0
 
 
-def _class_vectors(ens: Ensemble, t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled (a0, b0) of one class over flip counts j = 0..k, as a (2, P, k+1)
-    array with binomial C(k, j) included, and the log scale k log w_t + s,
+def _class_vectors(factors: tuple, log_w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled (a0, b0) of one class of log weight log_w (P,) over flip counts j = 0..k, as
+    a (2, P, k+1) array with binomial C(k, j) included, and the log scale k log_w + s,
     where s is the log of the largest C(k, j) a0(j) at each point."""
     log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
     log_c = log_fact[k] - (log_fact + log_fact[::-1])  # exactly symmetric in j <-> k - j
-    log_a0, log_b0, sign_b0 = log_vectors(ens, t, log_c)
+    log_a0, log_b0, sign_b0 = log_vectors(factors, log_c)
     s = log_a0.max(axis=1)
     out = np.empty((2,) + log_a0.shape)
     np.exp(log_a0 - s[:, None], out=out[0])
     np.exp(log_b0 - s[:, None], out=out[1])
     out[1] *= sign_b0
-    return out, k * ens.log_w[t] + s
+    return out, k * log_w + s
 
 
 def _outer_product(parts: list) -> np.ndarray:
@@ -166,46 +146,37 @@ def _half_sum(cond: np.ndarray, weight: np.ndarray, cells: int) -> np.ndarray:
     return s
 
 
-def rate_sums(ens: Ensemble, big_m: int) -> np.ndarray:
-    """Sum of w (1 - h) over all cells at each of the P points: the rate times
-    the number of physical qubits per logical qubit."""
-    n, points = ens.log_w.shape
-    if not points:
-        return np.zeros(0)
+def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
+    """Sum of w (1 - h) over all cells at each of the P points, for n classes of
+    log weights (n, P) and channels (n, P, 4) over M = big_m blocks: the rate
+    times the number of physical qubits per logical qubit."""
+    n, points = log_w.shape
     q, r = divmod(big_m, n)
     max_cells = (q + 2) ** r * (q + 1) ** (n - r)  # of the most balanced composition
-    chunks = -(-points * max_cells // CELL_BUDGET)
-    step = -(-points // chunks)
-    return np.concatenate([_rate_sums(ens.points(slice(i, i + step)), big_m)
-                           for i in range(0, points, step)])
-
-
-def _rate_sums(ens: Ensemble, big_m: int) -> np.ndarray:
-    n, points = ens.log_w.shape
-    vectors: dict = {}
+    step = max(1, CELL_BUDGET // max_cells)
     total = np.zeros(points)
-    for comp in _compositions(big_m, n):
-        parts = []
-        log_scale = np.full(points, math.lgamma(big_m + 1))
-        for t, k in enumerate(comp):
-            if k == 0:
+    for start in range(0, points, step):
+        chunk = slice(start, start + step)
+        sums = total[chunk]
+        classes = list(zip(*factors(probs[:, chunk])))  # six (points,) arrays per class
+        vectors: dict = {}
+        for comp in _compositions(big_m, n):
+            parts = []
+            log_scale = np.full(len(sums), math.lgamma(big_m + 1))
+            for t, k in enumerate(comp):
+                if k == 0:
+                    continue
+                if (t, k) not in vectors:
+                    vectors[t, k] = _class_vectors(classes[t], log_w[t, chunk], k)
+                vec, log_k = vectors[t, k]
+                parts.append(vec)
+                log_scale += log_k - math.lgamma(k + 1)
+            scale = np.exp(log_scale)
+            if not scale.any():  # every point's composition weight is 0
                 continue
-            if (t, k) not in vectors:
-                vectors[t, k] = _class_vectors(ens, t, k)
-            vec, log_k = vectors[t, k]
-            parts.append(vec)
-            log_scale += log_k - math.lgamma(k + 1)
-        scale = np.exp(log_scale)
-        if not scale.any():  # every point's composition weight is 0
-            continue
-        cells = math.prod(k + 1 for k in comp)
-        total += scale * _half_sum(*_conditionals(_outer_product(parts), (cells + 1) // 2), cells)
+            cells = math.prod(k + 1 for k in comp)
+            sums += scale * _half_sum(*_conditionals(_outer_product(parts), (cells + 1) // 2), cells)
     return total
-
-
-def physical(probs: np.ndarray) -> Ensemble:
-    """One class of weight 1: a physical channel (P, 4), already in the code's frame."""
-    return Ensemble.from_probs(probs[None], np.zeros((1, len(probs))))
 
 
 def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +184,7 @@ def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     given in the code's frame: log weights (n, P), with -inf for a class of
     probability 0, and conditional logical channels (n, P, 4) in slot order
     I, X, Y, Z (noiseless for a class of probability 0)."""
-    vec, log_k = _class_vectors(physical(probs), 0, n)
+    vec, log_k = _class_vectors(factors(probs), np.zeros(len(probs)), n)
     cond, weight = _conditionals(vec, n)
     zero = weight == 0.0
     cond /= 2.0 * np.where(zero, 1.0, weight)

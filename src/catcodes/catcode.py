@@ -124,12 +124,13 @@ def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
         if flipped not in (0, 1):
             raise ValueError(f"flip indicator {flipped} is not 0 or 1")
     # The qubits are the points of one kernel class; sum their logs per flip.
-    ens = _kernel.physical(np.array([ch.probs for ch in chs]))
+    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = _kernel.factors(
+        np.array([ch.probs for ch in chs]))
     flipped = np.array(flips, dtype=bool)
-    log_a = np.where(flipped, ens.log_a[0], ens.log_abar[0]).sum()
-    log_b = np.where(flipped, ens.log_b[0], ens.log_bbar[0]).sum()
-    negatives = np.where(flipped, ens.neg_b[0], ens.neg_bbar[0]).sum() + v
-    return _half_sum(float(log_a), float(log_b), -1.0 if negatives % 2 else 1.0)
+    sum_a = np.where(flipped, log_a, log_abar).sum()
+    sum_b = np.where(flipped, log_b, log_bbar).sum()
+    negatives = np.where(flipped, neg_b, neg_bbar).sum() + v
+    return _half_sum(float(sum_a), float(sum_b), -1.0 if negatives % 2 else 1.0)
 
 
 def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
@@ -138,8 +139,8 @@ def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
         raise ValueError(f"m must be >= 1, got {m}")
     # Class r's four joints are (a0 +- b0) / 2 at flip count j = r and
     # (a1 +- b1) / 2 at its mirror m - r, per syndrome vector (no binomial).
-    ens = _kernel.physical(np.array([ch.probs]))
-    log_a, log_b, sign_b = (x[0].tolist() for x in _kernel.log_vectors(ens, 0, np.zeros(m + 1)))
+    vectors = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), np.zeros(m + 1))
+    log_a, log_b, sign_b = (x[0].tolist() for x in vectors)
     classes = []
     multiplicity = 1  # C(m-1, r), updated exactly
     for r in range(m):
@@ -167,7 +168,7 @@ def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
     coherent-information accounting over syndrome weight classes.
     """
     probs = np.array([permute_basis(ch, spec.basis).probs for ch in chs]).reshape(-1, 4)
-    return _kernel.rate_sums(_kernel.physical(probs), spec.m) / spec.m
+    return _kernel.rate_sums(np.zeros((1, len(probs))), probs[None], spec.m) / spec.m
 
 
 def cat_rate(ch: PauliChannel, spec: CatCodeSpec) -> float:

@@ -146,8 +146,6 @@ def parse_channel_spec(spec: str) -> ChannelSpec:
     if kind == "custom_ray":
         values = {f"e{key[1]}": values.get(key, 0.0) for key in ("px", "py", "pz")}
         p = values["ex"] + values["ey"] + values["ez"]
-        if not any(values.values()):  # no noise: the channel of every family at p = 0
-            kind, values = "depolarizing", {}
     try:
         family = make_family(kind, values)
     except ValueError as exc:  # reported at the first of the family's parameters
@@ -233,8 +231,9 @@ def _write_csv(args, command: str, config: str, header: list[str], rows) -> None
 
 
 def _map(args, fn, items):
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs <= 1 or len(items) <= 1:
+    cores = os.cpu_count() or 1
+    jobs = min(args.jobs or cores, cores, len(items))  # no more workers than cores or tasks
+    if jobs <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))  # ordered map keeps outputs canonical
@@ -424,7 +423,7 @@ FLAGS = {
     "code": dict(required=True, help="code spec, e.g. cat:m=5,basis=Z"),
     "json": dict(action="store_true", help="emit a JSON record"),
     "out": dict(help="output file (default stdout)"),
-    "jobs": dict(type=int, default=0, help="parallel workers (0 = all cores)"),
+    "jobs": dict(type=int, default=0, help="parallel workers (0 = all cores; at most cores and tasks)"),
     "tol": dict(type=float, default=1e-6, help="threshold tolerance in p"),
 }
 

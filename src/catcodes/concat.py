@@ -26,13 +26,17 @@ from .catcode import CatCodeSpec
 # over: the work, which grows as C(M + 2n - 1, 2n - 1) for n-in-M.  Admits
 # 7-in-16 (67,863,915 cells); 5-in-30 has 211,915,132.
 MAX_CELLS = 100_000_000
+# Largest number of compositions C(M + n - 1, n - 1) of one rate evaluation: the
+# loop over them costs about 100 us each, so this is about 100 s per batch.
+MAX_COMPOSITIONS = 1_000_000
 
 
 class CompositionLimitError(RuntimeError):
-    """The grouped enumeration would sum over more than `MAX_CELLS` cells."""
+    """The grouped enumeration exceeds `MAX_CELLS` cells or `MAX_COMPOSITIONS` compositions."""
 
     def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} (composition, flip-count) cells exceed the cap of {cap}")
+        what = "compositions" if cap == MAX_COMPOSITIONS else "(composition, flip-count) cells"
+        super().__init__(f"{count} {what} exceed the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -75,12 +79,13 @@ def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:
     result is deterministic.
     """
     n, big_m = spec.inner.m, spec.outer.m
-    cells = math.comb(big_m + 2 * n - 1, 2 * n - 1)
-    if cells > MAX_CELLS:
-        raise CompositionLimitError(cells, MAX_CELLS)
+    for count, cap in ((math.comb(big_m + 2 * n - 1, 2 * n - 1), MAX_CELLS),
+                       (math.comb(big_m + n - 1, n - 1), MAX_COMPOSITIONS)):
+        if count > cap:
+            raise CompositionLimitError(count, cap)
     log_w, cond = _kernel.inner_ensemble(_inner_probs(chs, spec.inner), n)
     outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
-    return _kernel.rate_sums(_kernel.Ensemble.from_probs(outer, log_w), big_m) / (n * big_m)
+    return _kernel.rate_sums(log_w, outer, big_m) / (n * big_m)
 
 
 def concat_rate(ch: PauliChannel, spec: ConcatSpec) -> float:

@@ -212,6 +212,9 @@ class TestExitCodes:
             "rate --channel indep:ratio=-1,p=0.1 --code hashing",
             "rate --channel indep:ratio=nan,p=0.1 --code hashing",
             "rate --channel pauli:px=nan --code hashing",
+            # A zero direction is no family: at p > 0 it has no channel.
+            "threshold --channel pauli:px=0,py=0,pz=0 --code hashing",
+            "figure1 --channel pauli:px=0,py=0,pz=0 --code cat:m=1",
             "rate --channel depolarizing:p=0.1,p=0.2 --code hashing",
             "rate --channel depolarizing:p=0.1 --code cat:m=3,m=5",
         ],
@@ -303,6 +306,33 @@ class TestCsvCommands:
             assert code == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cores", [None, 64])
+    def test_workers_capped_by_cores_and_tasks(self, monkeypatch, tmp_path, cores):
+        # The stand-in maps in-process, so no real pool of any size starts.
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        if cores:
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        argv = "figure1 --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:3 --p-grid 0.1"
+        assert main(argv.split() + ["--jobs", "100000", "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+        assert all(n <= min(3, cli.os.cpu_count()) for n in requested)
+        if cores:
+            assert requested == [3]
 
     @pytest.mark.parametrize("p_grid,no_channel", [("0.5,1.5", {1.5}), ("1.5,2", {1.5, 2.0})])
     def test_figure1_nan_where_p_has_no_channel(self, tmp_path, p_grid, no_channel):

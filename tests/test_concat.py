@@ -14,7 +14,7 @@ from catcodes import (
     induced_ensemble,
     make_family,
 )
-from catcodes.concat import MAX_CELLS
+from catcodes.concat import MAX_CELLS, MAX_COMPOSITIONS
 from catcodes.oracle import (
     enumerate_joint,
     oracle_concat_rate,
@@ -138,6 +138,13 @@ class TestConcatRate:
         want = oracle_concat_rate(ch, spec.inner, spec.outer)
         assert got == pytest.approx(want, abs=1e-9)
 
+    def test_long_inner_code_in_one_block_is_the_cat_code(self):
+        # 1000-in-1 spreads one block over 1,000 classes: compositions of 1
+        # into 1,000 parts, more than Python's default recursion limit.
+        ch = evaluate_family(make_family("independent_xz_ratio", {"ratio": 100.0}), 0.002)
+        got = concat_rate(ch, ConcatSpec(CatCodeSpec(1000), CatCodeSpec(1)))
+        assert got == pytest.approx(cat_rate(ch, CatCodeSpec(1000)), abs=1e-12)
+
     def test_composition_cap_enforced(self):
         # The cap counts cells C(M + 2n - 1, 2n - 1), the work: 5-in-30 has
         # only 46,376 compositions but 211,915,132 cells.
@@ -148,3 +155,9 @@ class TestConcatRate:
             with pytest.raises(CompositionLimitError, match=f"^{cells} ") as err:
                 concat_rate(DEPOL_19, spec)
             assert err.value.count == cells > MAX_CELLS
+        # 421-in-3 has 99,846,044 cells, under MAX_CELLS, but 12,525,171
+        # compositions, each a pass of the kernel's Python loop.
+        spec = ConcatSpec(CatCodeSpec(421), CatCodeSpec(3, Basis.X))
+        with pytest.raises(CompositionLimitError, match="^12525171 compositions ") as err:
+            concat_rate(DEPOL_19, spec)
+        assert err.value.count == 12_525_171 > MAX_COMPOSITIONS == err.value.cap

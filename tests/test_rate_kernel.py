@@ -19,6 +19,7 @@ from catcodes import (
     make_family,
     threshold,
 )
+from catcodes._kernel import _compositions
 
 DEPOL = make_family("depolarizing")
 NINE_TO_ONE = make_family("independent_xz_ratio", {"ratio": 9.0})
@@ -113,3 +114,25 @@ def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
         single.evaluations,
         single.warning,
     )
+
+
+def _recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_in_lexicographic_order():
+    # The order fixes the summation order, and with it the last bits of a rate.
+    for total in range(7):
+        for parts in range(1, 6):
+            assert list(_compositions(total, parts)) == list(_recursive_compositions(total, parts))
+
+
+def test_compositions_of_more_parts_than_the_recursion_limit():
+    units = list(_compositions(1, 1200))
+    # Lexicographic: the unit in the last part comes first.
+    assert units == [tuple(int(i == t) for i in range(1200)) for t in reversed(range(1200))]
