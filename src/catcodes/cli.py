@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -31,12 +30,6 @@ from .channels import (
 from .catcode import CatCodeSpec, cat_rate, cat_rates
 from .concat import CompositionLimitError, ConcatSpec, concat_rate
 from .degradable import degradability_verdict, kraus_from_pauli
-from .oracle import (
-    enumerate_joint,
-    oracle_cat_rate,
-    oracle_concat_rate,
-    oracle_concat_rate_physical,
-)
 from .search import NoBracketError, best_length_scan, code_rate, threshold
 
 CSV_SCHEMA = "catcodes-csv v1"
@@ -220,6 +213,14 @@ def _p_grid(text: str) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _jobs(text: str) -> int:
+    """--jobs: a worker count N >= 0, where 0 means all cores."""
+    n = _number(text, 0, text, int)
+    if n < 0:
+        raise SpecParseError(f"worker count {n} is negative", text, 0)
+    return n
+
+
 def _write_csv(args, command: str, config: str, header: list[str], rows) -> None:
     """The schema line, the header and the rows, floats through repr, to --out or stdout."""
     to_file = args.out not in (None, "-")
@@ -232,9 +233,11 @@ def _write_csv(args, command: str, config: str, header: list[str], rows) -> None
 
 def _map(args, fn, items):
     cores = os.cpu_count() or 1
-    jobs = min(args.jobs or cores, cores, len(items))  # no more workers than cores or tasks
+    jobs = min(_jobs(args.jobs) or cores, cores, len(items))  # no more workers than cores or tasks
     if jobs <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # local: only a pool needs multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))  # ordered map keeps outputs canonical
 
@@ -389,6 +392,12 @@ def cmd_verify(args) -> int:
         return PauliChannel(*(float(x) for x in v))
 
     from .catcode import syndrome_classes  # local: off the rate path
+    from .oracle import (  # local: only verify reads the oracles
+        enumerate_joint,
+        oracle_cat_rate,
+        oracle_concat_rate,
+        oracle_concat_rate_physical,
+    )
 
     for m in (2, 3, 4):
         worst_rate = 0.0
@@ -423,7 +432,7 @@ FLAGS = {
     "code": dict(required=True, help="code spec, e.g. cat:m=5,basis=Z"),
     "json": dict(action="store_true", help="emit a JSON record"),
     "out": dict(help="output file (default stdout)"),
-    "jobs": dict(type=int, default=0, help="parallel workers (0 = all cores; at most cores and tasks)"),
+    "jobs": dict(default="0", help="parallel workers N >= 0 (0 = all cores; at most cores and tasks)"),
     "tol": dict(type=float, default=1e-6, help="threshold tolerance in p"),
 }
 

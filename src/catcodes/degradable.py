@@ -27,12 +27,10 @@ TRACE_TOL = 1e-10
 # on or within rounding of the boundary is never certified.
 ANTIDEGRADABLE_MARGIN = 1e-9
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# I, X, Y, Z stacked in the order of `PauliChannel.probs`.
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
 
 class MalformedMapError(ValueError):
@@ -41,33 +39,34 @@ class MalformedMapError(ValueError):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of a channel; each is dim_out x dim_in."""
+    """Kraus operators of a channel, stacked as one (n, dim_out, dim_in) array."""
 
-    ops: tuple
+    ops: np.ndarray
     dim_in: int
     dim_out: int
 
     @staticmethod
     def from_matrices(ops) -> "KrausSet":
-        mats = tuple(np.asarray(op, dtype=complex) for op in ops)
-        if not mats:
+        try:
+            mats = np.asarray(ops, dtype=complex)
+        except ValueError:  # a ragged list of operators
+            raise ValueError("Kraus operators must share one shape") from None
+        if not mats.size:
             raise ValueError("a Kraus set needs at least one operator")
-        dim_out, dim_in = mats[0].shape
-        for op in mats:
-            if op.shape != (dim_out, dim_in):
-                raise ValueError("Kraus operators must share one shape")
-        k = KrausSet(mats, dim_in, dim_out)
+        if mats.ndim != 3:
+            raise ValueError("Kraus operators must share one shape")
+        k = KrausSet(mats, mats.shape[2], mats.shape[1])
         res = k.trace_preservation_residual()
         if res > TRACE_TOL:
             raise ValueError(f"Kraus set is not trace preserving (residual {res})")
         return k
 
     def trace_preservation_residual(self) -> float:
-        acc = sum(op.conj().T @ op for op in self.ops)
+        acc = (self.ops.conj().transpose(0, 2, 1) @ self.ops).sum(axis=0)
         return float(np.linalg.norm(acc - np.eye(self.dim_in)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(op @ rho @ op.conj().T for op in self.ops)
+        return (self.ops @ rho @ self.ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -90,20 +89,17 @@ class ChannelMatrixRep:
 
 def kraus_from_pauli(ch: PauliChannel) -> KrausSet:
     """Kraus operators sqrt(p_k) sigma_k, zero-probability operators omitted."""
-    ops = []
-    for prob, name in zip(ch.probs, "IXYZ"):
-        if prob > 0.0:
-            ops.append(math.sqrt(prob) * PAULI_MATRICES[name])
-    return KrausSet.from_matrices(ops)
+    probs = np.array(ch.probs)
+    keep = probs > 0.0
+    return KrausSet.from_matrices(np.sqrt(probs[keep])[:, None, None] * PAULIS[keep])
 
 
 def natural_rep(k: KrausSet) -> ChannelMatrixRep:
     """Matrix-unit-basis matrix of the channel: M[ij, kl] = sum_K K[k,i] conj(K[l,j])."""
-    m = np.zeros((k.dim_in**2, k.dim_out**2), dtype=complex)
-    for op in k.ops:
-        # N(|i><j|) = K |i><j| K^dag has (k, l) coefficient K[k,i] conj(K[l,j]).
-        m += np.einsum("ki,lj->ijkl", op, op.conj()).reshape(k.dim_in**2, k.dim_out**2)
-    return ChannelMatrixRep(m, k.dim_in, k.dim_out)
+    # N(|i><j|) = K |i><j| K^dag has (k, l) coefficient K[k,i] conj(K[l,j]);
+    # the sum adds the operators' terms in order.
+    terms = np.einsum("nki,nlj->nijkl", k.ops, k.ops.conj())
+    return ChannelMatrixRep(terms.sum(axis=0).reshape(k.dim_in**2, k.dim_out**2), k.dim_in, k.dim_out)
 
 
 def complementary(k: KrausSet) -> KrausSet:
@@ -113,9 +109,16 @@ def complementary(k: KrausSet) -> KrausSet:
     operators F_j with F_j[k, i] = E_k[j, i]; the environment dimension equals
     the number of Kraus operators and its basis is ordered by Kraus index.
     """
-    n = len(k.ops)
-    stacked = np.stack(k.ops)  # (n, dim_out, dim_in)
-    return KrausSet.from_matrices([stacked[:, j, :].reshape(n, k.dim_in) for j in range(k.dim_out)])
+    return KrausSet.from_matrices(k.ops.transpose(1, 0, 2))
+
+
+def _least_squares(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
+    """`solve_degrading`'s map and residual, and the singular values of N."""
+    if n_rep.dim_in != nc_rep.dim_in:
+        raise ValueError("N and N^C must share the input dimension")
+    d_mat, _, _, singular = np.linalg.lstsq(n_rep.matrix, nc_rep.matrix, rcond=None)
+    residual = float(np.linalg.norm(n_rep.matrix @ d_mat - nc_rep.matrix))
+    return ChannelMatrixRep(d_mat, n_rep.dim_out, nc_rep.dim_out), residual, singular
 
 
 def solve_degrading(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
@@ -124,11 +127,7 @@ def solve_degrading(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
     When N is invertible the solution is unique and the residual is at
     roundoff; a singular N yields one member of the affine solution family.
     """
-    if n_rep.dim_in != nc_rep.dim_in:
-        raise ValueError("N and N^C must share the input dimension")
-    d_mat, *_ = np.linalg.lstsq(n_rep.matrix, nc_rep.matrix, rcond=None)
-    residual = float(np.linalg.norm(n_rep.matrix @ d_mat - nc_rep.matrix))
-    return ChannelMatrixRep(d_mat, n_rep.dim_out, nc_rep.dim_out), residual
+    return _least_squares(n_rep, nc_rep)[:2]
 
 
 def choi_of_map(rep: ChannelMatrixRep) -> np.ndarray:
@@ -184,10 +183,11 @@ def degradability_verdict(k: KrausSet) -> DegradabilityVerdict:
     """
     n_rep = natural_rep(k)
     nc_rep = natural_rep(complementary(k))
-    d_rep, residual = solve_degrading(n_rep, nc_rep)
+    d_rep, residual, singular = _least_squares(n_rep, nc_rep)
     choi = choi_of_map(d_rep)
     min_eig = float(np.linalg.eigvalsh(choi)[0])
-    invertible = np.linalg.cond(n_rep.matrix) < CONDITION_LIMIT
+    # cond(N) < CONDITION_LIMIT, without dividing by a zero singular value.
+    invertible = singular[0] < CONDITION_LIMIT * singular[-1]
     solvable = residual <= RESIDUAL_TOL * max(
         1.0, float(np.linalg.norm(nc_rep.matrix))
     )

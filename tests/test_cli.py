@@ -217,6 +217,7 @@ class TestExitCodes:
             "figure1 --channel pauli:px=0,py=0,pz=0 --code cat:m=1",
             "rate --channel depolarizing:p=0.1,p=0.2 --code hashing",
             "rate --channel depolarizing:p=0.1 --code cat:m=3,m=5",
+            "figure1 --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:2 --p-grid 0.1 --jobs -5",
         ],
     )
     def test_malformed_value_is_a_parse_error_with_a_column(self, argv, capsys):
@@ -325,7 +326,7 @@ class TestCsvCommands:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         if cores:
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         argv = "figure1 --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:3 --p-grid 0.1"

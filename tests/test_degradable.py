@@ -12,6 +12,7 @@ from catcodes import (
     CatCodeSpec,
     ChannelMatrixRep,
     ConcatSpec,
+    KrausSet,
     NOISELESS,
     PauliChannel,
     antidegradable,
@@ -75,6 +76,13 @@ def reference_degrading_map(p: float) -> np.ndarray:
     return out
 
 
+def amplitude_damping(gamma: float) -> KrausSet:
+    """Kraus set |0><0| + sqrt(1 - gamma) |1><1| and sqrt(gamma) |0><1|."""
+    return KrausSet.from_matrices(
+        [[[1, 0], [0, math.sqrt(1 - gamma)]], [[0, math.sqrt(gamma)], [0, 0]]]
+    )
+
+
 def env_reordered(matrix: np.ndarray) -> np.ndarray:
     """Reorder 9-dim (3x3 matrix-unit) indices from Kraus order to the
     reference order used above."""
@@ -100,6 +108,26 @@ class TestKrausFromPauli:
             assert k.trace_preservation_residual() <= 1e-14
 
 
+class TestFromMatrices:
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one operator"):
+            KrausSet.from_matrices([])
+
+    @pytest.mark.parametrize("second", [np.eye(3), np.zeros((2, 3)), np.zeros((2, 2, 2))])
+    def test_mismatched_shapes_rejected(self, second):
+        with pytest.raises(ValueError, match="must share one shape"):
+            KrausSet.from_matrices([np.eye(2), second])
+
+    def test_not_trace_preserving_rejected(self):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausSet.from_matrices([np.eye(2), np.eye(2)])
+
+    def test_operators_are_one_stacked_array(self):
+        k = amplitude_damping(0.3)
+        assert k.ops.shape == (2, 2, 2) and (k.dim_out, k.dim_in) == (2, 2)
+        assert complementary(k).ops.shape == (2, 2, 2)
+
+
 class TestNaturalRep:
     def test_identity_channel_is_identity_matrix(self):
         rep = natural_rep(kraus_from_pauli(NOISELESS))
@@ -109,6 +137,15 @@ class TestNaturalRep:
     def test_two_pauli_matches_reference(self, p):
         rep = natural_rep(kraus_from_pauli(evaluate_family(TWO_PAULI, p)))
         np.testing.assert_allclose(rep.matrix, reference_natural_rep(p), atol=1e-12)
+
+    def test_equals_a_running_sum_over_the_operators_bit_for_bit(self, channels20):
+        sets = [kraus_from_pauli(ch) for ch in channels20]
+        sets += [amplitude_damping(g) for g in (0.0, 0.1, 0.45, 0.7, 1.0)]
+        for k in sets + [complementary(k) for k in sets]:
+            running = np.zeros((k.dim_in**2, k.dim_out**2), dtype=complex)
+            for op in k.ops:
+                running += np.einsum("ki,lj->ijkl", op, op.conj()).reshape(running.shape)
+            assert natural_rep(k).matrix.tobytes() == running.tobytes()
 
     def test_reconstructs_kraus_action(self, channels20):
         rng = np.random.default_rng(20260826)
@@ -238,6 +275,23 @@ class TestVerdict:
 
     def test_noiseless_degradable(self):
         assert degradability_verdict(kraus_from_pauli(NOISELESS)).status == "degradable"
+
+    # Amplitude damping is degradable for gamma <= 1/2 and antidegradable,
+    # so not degradable, above (Giovannetti & Fazio, PRA 71, 032314, 2005).
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45])
+    def test_amplitude_damping_below_half_degradable(self, gamma):
+        assert degradability_verdict(amplitude_damping(gamma)).status == "degradable"
+
+    @pytest.mark.parametrize("gamma", [0.55, 0.7, 0.9])
+    def test_amplitude_damping_above_half_not_degradable(self, gamma):
+        assert degradability_verdict(amplitude_damping(gamma)).status == "not_degradable"
+
+    def test_replacement_channel_with_singular_n_not_degradable(self):
+        # N(rho) = tr(rho) |0><0| has rank one, so cond(N) is infinite; the
+        # condition test must not divide by N's zero singular values.
+        k = KrausSet.from_matrices([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+        assert np.linalg.matrix_rank(natural_rep(k).matrix) == 1
+        assert degradability_verdict(k).status == "not_degradable"
 
     def test_record_is_json_serializable(self):
         import json
