@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import Basis, PauliChannel, permute_basis
+from .channels import BASIS_SLOTS, Basis, PauliChannel
 
 # (u, v) logical-error labels in channel-slot order: identity, X, Y, Z.
 UV_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -167,7 +167,7 @@ def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
     Achievable rate in qubits per channel use, per Eq.-(5)-style conditional
     coherent-information accounting over syndrome weight classes.
     """
-    probs = np.array([permute_basis(ch, spec.basis).probs for ch in chs]).reshape(-1, 4)
+    probs = np.array([ch.probs for ch in chs]).reshape(-1, 4)[:, BASIS_SLOTS[spec.basis]]
     return _kernel.rate_sums(np.zeros((1, len(probs))), probs[None], spec.m) / spec.m
 
 

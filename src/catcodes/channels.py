@@ -30,6 +30,7 @@ class Basis(Enum):
 
 
 def _clamped(x: float, what: str) -> float:
+    x = float(x)
     if not x >= -CLAMP_TOL:
         raise InvalidDistributionError(f"{what} = {x} is NaN or negative beyond tolerance")
     return 0.0 if x < 0.0 else x
@@ -71,7 +72,7 @@ NOISELESS = PauliChannel(1.0, 0.0, 0.0, 0.0)
 
 def entropy4(dist) -> float:
     """Shannon entropy in bits of a 4-outcome distribution, with 0 log 0 = 0."""
-    vals = [_clamped(float(d), "probability") for d in dist]
+    vals = [_clamped(d, "probability") for d in dist]
     total = sum(vals)
     if not abs(total - 1.0) <= 1e-9:
         raise InvalidDistributionError(f"distribution sums to {total}, not 1")

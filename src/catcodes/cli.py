@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ import numpy as np
 from .channels import (
     Basis,
     ChannelFamily,
-    NoSolutionError,
     PauliChannel,
     evaluate_family,
     make_family,
@@ -147,14 +145,20 @@ def parse_channel_spec(spec: str) -> ChannelSpec:
     return ChannelSpec(family, p, format_channel_spec(family, p))
 
 
+def _exact(x: float) -> str:
+    """x as text that reads back to the same float: its repr, without a trailing .0."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def format_channel_spec(family: ChannelFamily, p: Optional[float]) -> str:
     name = next(name for name, (kind, _) in CHANNELS.items() if kind == family.kind)
     if family.kind == "custom_ray":
         scale = 1.0 if p is None else p
-        fields = [f"p{key[1]}={scale * e:.12g}" for key, e in family.params]
+        fields = [f"p{key[1]}={_exact(scale * e)}" for key, e in family.params]
     else:
-        fields = [f"{key}={v:.12g}" for key, v in family.params]
-        fields += [] if p is None else [f"p={p:.12g}"]
+        fields = [f"{key}={_exact(v)}" for key, v in family.params]
+        fields += [] if p is None else [f"p={_exact(p)}"]
     return f"{name}:{','.join(fields)}" if fields else name
 
 
@@ -300,19 +304,10 @@ def cmd_scan_m(args) -> int:
     return EXIT_OK
 
 
-def _grid_channel(family: ChannelFamily, p: float) -> Optional[PauliChannel]:
-    try:
-        return evaluate_family(family, p)
-    except NoSolutionError:
-        return None
-
-
 def _figure1_column(task) -> list[float]:
-    """Rates of one cat code at every channel of the grid, evaluated as one
-    batch; nan where p has no channel."""
+    """Rates of one cat code at every channel of the grid, evaluated as one batch."""
     code, chs = task
-    rates = iter(cat_rates([ch for ch in chs if ch is not None], code).tolist())
-    return [math.nan if ch is None else next(rates) for ch in chs]
+    return cat_rates(chs, code).tolist()
 
 
 def cmd_figure1(args) -> int:
@@ -321,7 +316,7 @@ def cmd_figure1(args) -> int:
     if isinstance(code, ConcatSpec):
         raise SpecParseError("figure1 uses single-level cat codes", args.code, 0)
     ms, ps = _m_range(args.m_range), _p_grid(args.p_grid)
-    chs = [_grid_channel(chspec.family, p) for p in ps]
+    chs = [evaluate_family(chspec.family, p) for p in ps]  # a p outside [0, 1] exits 3 here
     columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), chs) for m in ms])
     rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
     config = (
@@ -355,7 +350,7 @@ def cmd_figure2(args) -> int:
     rows = _map(args, _figure2_row, tasks)
     config = (
         f"channel={format_channel_spec(family, None)} | inner={args.inner}"
-        f" | m-range={args.m_range} | tol={args.tol:g}"
+        f" | m-range={args.m_range} | tol={_exact(args.tol)}"
     )
     _write_csv(args, "figure2", config, ["outer_m", "inner_spec", "threshold"], rows)
     return EXIT_OK
@@ -437,7 +432,8 @@ FLAGS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+def _add_flags(p, *names: str) -> None:
+    """Add the named FLAGS to a parser or to one of its argument groups."""
     for name in names:
         p.add_argument(f"--{name}", **FLAGS[name])
 
@@ -455,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.set_defaults(func=cmd_threshold)
 
     p_scan = sub.add_parser("scan-m", help="cat rate vs length at fixed noise")
-    _add_flags(p_scan, "channel", "code", "json", "out")
+    _add_flags(p_scan, "channel", "code")
+    _add_flags(p_scan.add_mutually_exclusive_group(), "json", "out")
     p_scan.add_argument("--m-range", default="1:40", help="lengths, a:b or comma list")
     p_scan.set_defaults(func=cmd_scan_m)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, PauliChannel, permute_basis
+from .channels import BASIS_SLOTS, PauliChannel
 from .catcode import CatCodeSpec
 
 # Largest number of (composition, flip-count) cells one rate evaluation sums
@@ -53,8 +53,8 @@ def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
     # A length-1 code has no stabilizers; its logical frame is the physical one,
     # so the basis label is ignored and the degenerate reduction returns the
     # input channel unchanged.
-    probs = [(permute_basis(ch, spec.basis) if spec.m > 1 else ch).probs for ch in chs]
-    return np.array(probs).reshape(-1, 4)
+    probs = np.array([ch.probs for ch in chs]).reshape(-1, 4)
+    return probs[:, BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
 
 
 def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, PauliChannel], ...]:

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .channels import Basis, ChannelFamily, evaluate_family
-from .catcode import CatCodeSpec, cat_rate, cat_rates
+from .catcode import CatCodeSpec, cat_rates
 from .concat import ConcatSpec, concat_rates
 from .degradable import antidegradable
 
@@ -168,7 +168,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
         raise ValueError("tol must be positive")
     scan = [p for p, skip in zip(_PRE_SCAN_GRID, _certified(family)) if not skip]
     known = dict(zip([0.0] + scan, map(float, code_rates(family, code, [0.0] + scan))))
-    evals, batches = 1 + len(scan), 1
+    batches = 1
     if known[0.0] <= 0.0:
         raise NoBracketError("rate is not positive at p = 0")
 
@@ -191,7 +191,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
         target = _predicted_crossing(known, lo, hi)
         mids = [p for p in _batch_midpoints(lo, hi, tol, target) if p not in known]
         known.update(zip(mids, map(float, code_rates(family, code, mids))))
-        evals, batches = evals + len(mids), batches + 1
+        batches += 1
         # Stops at the first midpoint not yet evaluated, which the next batch
         # evaluates first; nothing below it has been evaluated either.
         while (mid := _split(lo, hi, tol)) is not None and mid in known:
@@ -201,7 +201,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
                 hi = mid
     skipped = PRE_SCAN_POINTS - len(scan)
     return ThresholdResult(
-        0.5 * (lo + hi), (lo, hi), evals, skipped, batches, code, family, warning
+        0.5 * (lo + hi), (lo, hi), len(known), skipped, batches, code, family, warning
     )
 
 
@@ -222,8 +222,7 @@ def best_length_scan(
     m_range,
 ) -> tuple[list[ScanRow], int]:
     """Rate of each cat length at fixed noise; returns rows and the argmax m."""
-    ch = evaluate_family(family, p)
-    pairs, best = _scan(m_range, lambda m: cat_rate(ch, CatCodeSpec(m, basis)))
+    pairs, best = _scan(m_range, lambda m: code_rate(family, CatCodeSpec(m, basis), p))
     return [ScanRow(m, rate=v) for m, v in pairs], best
 
 

@@ -5,10 +5,12 @@ import pytest
 from catcodes import (
     Basis,
     CatCodeSpec,
+    ConcatSpec,
     InvalidDistributionError,
     NoSolutionError,
     PauliChannel,
     cat_rate,
+    concat_rate,
     entropy4,
     evaluate_family,
     hashing_rate,
@@ -57,6 +59,17 @@ class TestPauliChannel:
             PauliChannel(1.1, -0.1, 0.0, 0.0)
         with pytest.raises(InvalidDistributionError):
             PauliChannel(math.nan, 0.0, 0.0, 0.0)
+
+    def test_int_components_give_the_rates_of_float_components(self):
+        # Ints used to reach the kernel as an int64 array, which no float log fits.
+        ints, floats = PauliChannel(0, 1, 0, 0), PauliChannel(0.0, 1.0, 0.0, 0.0)
+        assert all(type(p) is float for p in ints.probs)
+        for rate in (
+            lambda ch: cat_rate(ch, CatCodeSpec(3)),
+            lambda ch: concat_rate(ch, ConcatSpec(CatCodeSpec(2), CatCodeSpec(3))),
+            hashing_rate,
+        ):
+            assert rate(ints).hex() == rate(floats).hex()
 
     def test_q_marginals(self):
         ch = PauliChannel(0.9, 0.05, 0.02, 0.03)

@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import json
-import math
 import re
 import shlex
 from pathlib import Path
@@ -82,6 +81,35 @@ class TestSpecParsing:
             assert spec.p == pytest.approx(1.0, abs=1e-12)
         else:
             assert spec.p is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "depolarizing:p=0.1900000000000001",
+            "two-pauli:p=0.30000000000000004",
+            "indep:ratio=1.00000000000001,p=1e-300",
+            "indep:ratio=0.1111111111111111,p=0.9999999999999999",
+            "indep:ratio=9,p=0",  # integral values keep their short form
+        ],
+    )
+    def test_numbers_are_written_exactly(self, text):
+        spec = parse_channel_spec(text)
+        assert spec.canonical == text
+        again = parse_channel_spec(spec.canonical)
+        assert (again.family, again.p) == (spec.family, spec.p)
+        assert parse_channel_spec(format_channel_spec(spec.family, None)).family == spec.family
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["depolarizing", "two-pauli", "indep"]),
+        ratio=st.floats(1e-300, 1e300),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_random_numbers_read_back_exactly(self, name, ratio, p):
+        fields = f"ratio={ratio!r},p={p!r}" if name == "indep" else f"p={p!r}"
+        spec = parse_channel_spec(f"{name}:{fields}")
+        again = parse_channel_spec(spec.canonical)
+        assert (again.family, again.p) == (spec.family, spec.p)
 
     def test_lengths_are_checked_before_the_range_is_built(self):
         with pytest.raises(SpecParseError) as err:
@@ -335,37 +363,29 @@ class TestCsvCommands:
         if cores:
             assert requested == [3]
 
-    @pytest.mark.parametrize("p_grid,no_channel", [("0.5,1.5", {1.5}), ("1.5,2", {1.5, 2.0})])
-    def test_figure1_nan_where_p_has_no_channel(self, tmp_path, p_grid, no_channel):
-        outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"fig1-{jobs}.csv"
-            code = main(
-                [
-                    "figure1",
-                    "--channel",
-                    "depolarizing:p=0.2",
-                    "--code",
-                    "cat:m=1",
-                    "--m-range",
-                    "1:3",
-                    "--p-grid",
-                    p_grid,
-                    "--jobs",
-                    jobs,
-                    "--out",
-                    str(out),
-                ]
-            )
-            assert code == EXIT_OK
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        rows = [line.split(",") for line in outputs[0].decode().splitlines()[2:]]
-        assert [(float(p), int(m)) for p, m, _ in rows] == [
-            (float(p), m) for p in p_grid.split(",") for m in (1, 2, 3)
-        ]
-        for p, _, rate in rows:
-            assert math.isnan(float(rate)) == (float(p) in no_channel)
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("p_grid", ["0.5,1.5", "1.5,2", "nan,0.2"])
+    def test_figure1_p_outside_the_range_exits_3(self, monkeypatch, tmp_path, capsys, p_grid, jobs):
+        # The grid is checked before any pool starts, and no file is written.
+        started = []
+        pool = lambda **kw: started.append(kw)  # noqa: E731
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
+        out = tmp_path / f"fig1-{jobs}.csv"
+        argv = "figure1 --channel depolarizing:p=0.2 --code cat:m=1 --m-range 1:3".split()
+        code = main(argv + ["--p-grid", p_grid, "--jobs", jobs, "--out", str(out)])
+        assert code == EXIT_DOMAIN
+        assert "outside [0, 1.0]" in capsys.readouterr().err
+        assert not out.exists()
+        assert started == []
+
+    def test_figure2_header_tol_reads_back_exactly(self, tmp_path):
+        for tol, text in ((0.010000000000000002, "0.010000000000000002"), (1e-05, "1e-05")):
+            out = tmp_path / "fig2.csv"
+            argv = "figure2 --channel depolarizing --inner 1 --m-range 1 --out".split()
+            assert main(argv + [str(out), "--tol", repr(tol)]) == EXIT_OK
+            header = out.read_text().splitlines()[0]
+            assert header.endswith(f" | tol={text}")
+            assert float(header.rpartition("tol=")[2]) == tol
 
     def test_figure2_rows_and_ordering(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -459,6 +479,14 @@ class TestFlags:
             build_parser().parse_args(BASE_ARGS[command] + flag)
         assert err.value.code == EXIT_PARSE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_scan_m_takes_json_or_out_not_both(self, capsys):
+        build_parser().parse_args(BASE_ARGS["scan-m"] + ["--json"])
+        build_parser().parse_args(BASE_ARGS["scan-m"] + ["--out", "scan.csv"])
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(BASE_ARGS["scan-m"] + ["--json", "--out", "scan.csv"])
+        assert err.value.code == EXIT_PARSE
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

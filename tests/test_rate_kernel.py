@@ -13,13 +13,17 @@ from catcodes import (
     CatCodeSpec,
     ConcatSpec,
     cat_rate,
+    cat_rates,
     code_rate,
     code_rates,
+    concat_rates,
     evaluate_family,
     make_family,
+    permute_basis,
     threshold,
 )
 from catcodes._kernel import _compositions
+from conftest import EDGE_CHANNELS
 
 DEPOL = make_family("depolarizing")
 NINE_TO_ONE = make_family("independent_xz_ratio", {"ratio": 9.0})
@@ -114,6 +118,26 @@ def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
         single.evaluations,
         single.warning,
     )
+
+
+@pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
+def test_basis_by_slot_index_equals_relabelled_channels(basis, channels20):
+    # The rates index the channel slots of `basis`; permute_basis relabels the
+    # channel objects instead.  Both must give the same bits.
+    chs = channels20 + EDGE_CHANNELS
+    relabelled = [permute_basis(ch, basis) for ch in chs]
+
+    def bits(rates):
+        return [x.hex() for x in rates.tolist()]
+
+    for m in (1, 2, 5, 33):
+        want = cat_rates(relabelled, CatCodeSpec(m))
+        assert bits(cat_rates(chs, CatCodeSpec(m, basis))) == bits(want)
+    for n, big_m in ((2, 3), (3, 5), (4, 1)):
+        for outer in Basis:
+            got = concat_rates(chs, ConcatSpec(CatCodeSpec(n, basis), CatCodeSpec(big_m, outer)))
+            want = concat_rates(relabelled, ConcatSpec(CatCodeSpec(n), CatCodeSpec(big_m, outer)))
+            assert bits(got) == bits(want)
 
 
 def _recursive_compositions(total, parts):
