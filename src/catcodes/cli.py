@@ -25,7 +25,7 @@ from .channels import (
     evaluate_family,
     make_family,
 )
-from .catcode import CatCodeSpec, cat_rate, cat_rates
+from .catcode import UV_ORDER, CatCodeSpec, cat_rate, cat_rates
 from .concat import CompositionLimitError, ConcatSpec, concat_rate
 from .degradable import degradability_verdict, kraus_from_pauli
 from .search import NoBracketError, best_length_scan, code_rate, threshold
@@ -403,7 +403,7 @@ def cmd_verify(args) -> int:
             table = enumerate_joint([ch] * m)
             for sc in syndrome_classes(ch, m):
                 s = tuple([1] * sc.r + [0] * (m - 1 - sc.r))
-                for (u, v), j in zip(((0, 0), (1, 0), (1, 1), (0, 1)), sc.joint):
+                for (u, v), j in zip(UV_ORDER, sc.joint):
                     worst_joint = max(worst_joint, abs(j.to_float() - table.probs.get((s, u, v), 0.0)))
         check(f"cat rate vs oracle, m={m}", worst_rate, 1e-10)
         check(f"joint distribution vs oracle, m={m}", worst_joint, 1e-10)

@@ -22,6 +22,7 @@ from catcodes import (
     permute_basis,
     threshold,
 )
+from catcodes import _kernel
 from catcodes._kernel import _compositions
 from conftest import EDGE_CHANNELS
 
@@ -160,3 +161,42 @@ def test_compositions_of_more_parts_than_the_recursion_limit():
     units = list(_compositions(1, 1200))
     # Lexicographic: the unit in the last part comes first.
     assert units == [tuple(int(i == t) for i in range(1200)) for t in reversed(range(1200))]
+
+
+def rebuilt_rate_sums(log_w, probs, big_m):
+    """`_kernel.rate_sums` with every composition's cells formed from all of its
+    class vectors and its log scale summed from lgamma(M + 1), in one chunk (a
+    point's sum does not depend on its batch)."""
+    n, points = log_w.shape
+    classes = list(zip(*_kernel.factors(probs)))
+    total = np.zeros(points)
+    for comp in _compositions(big_m, n):
+        parts = []
+        log_scale = np.full(points, math.lgamma(big_m + 1))
+        for t, k in enumerate(comp):
+            if k:
+                vec, log_k = _kernel._class_vectors(classes[t], log_w[t], k)
+                parts.append(vec)
+                log_scale += log_k - math.lgamma(k + 1)
+        grid = parts[0]
+        for i, vec in enumerate(parts[1:], 1):
+            grid = grid[..., None] * vec.reshape(vec.shape[:2] + (1,) * i + vec.shape[2:])
+        grid = grid.reshape(grid.shape[:2] + (-1,))
+        scale = np.exp(log_scale)
+        if scale.any():
+            cells = grid.shape[-1]
+            total += scale * _kernel._half_sum(*_kernel._conditionals(grid, (cells + 1) // 2), cells)
+    return total
+
+
+@pytest.mark.parametrize("n,big_m", [(1, 5), (2, 3), (3, 5), (5, 5), (4, 1), (12, 2), (30, 2)])
+def test_shared_prefixes_keep_the_summation_order(n, big_m, channels20):
+    # Reusing the cells a composition shares with the previous one must not
+    # reassociate a product or a log-scale sum.  The noiseless channel gives
+    # classes of probability 0: evaluated alone, their compositions are skipped,
+    # and their counts of 0 carry a prefix unchanged.
+    probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
+    for batch in [probs] + [row[None] for row in probs[len(channels20):]]:
+        log_w, cond = _kernel.inner_ensemble(batch, n)
+        want = [x.hex() for x in rebuilt_rate_sums(log_w, cond, big_m).tolist()]
+        assert [x.hex() for x in _kernel.rate_sums(log_w, cond, big_m).tolist()] == want
