@@ -35,6 +35,7 @@ so only the first half of the cells is evaluated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -48,18 +49,31 @@ CELL_BUDGET = 1 << 14
 
 
 def _compositions(total: int, parts: int):
-    """Compositions of `total` into `parts` counts >= 0, in lexicographic order:
-    stars and bars, with the parts - 1 bars' positions in lexicographic order."""
-    ends = (total + parts - 1,)
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
+    """Compositions of `total` into `parts` counts >= 0, in lexicographic order: each one
+    moves a unit from the last nonzero count t > 0 to t - 1, and the rest to the end."""
+    comp, t = [0] * (parts - 1) + [total], parts - 1 if total else 0
+    while True:
+        yield tuple(comp)
+        if not t:
+            return
+        comp[t - 1], comp[t], comp[-1] = comp[t - 1] + 1, 0, comp[t] - 1
+        t = parts - 1 if comp[-1] else t - 1
 
 
 def _powers(log_x: np.ndarray, k: int) -> np.ndarray:
-    """j log x for j = 0..k over (P, k+1), with 0 at j = 0 even where x = 0."""
-    out = np.zeros((len(log_x), k + 1))
-    np.multiply(log_x[:, None], np.arange(1, k + 1), out=out[:, 1:])
+    """j log x for j = 0..k over (..., k+1), with 0 at j = 0 even where x = 0."""
+    out = np.zeros(log_x.shape + (k + 1,))
+    np.multiply(log_x[..., None], np.arange(1, k + 1), out=out[..., 1:])
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _log_binomials(k: int) -> np.ndarray:
+    """log C(k, j) for j = 0..k, exactly symmetric in j <-> k - j; read-only, as it is shared."""
+    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
+    log_c = log_fact[k] - (log_fact + log_fact[::-1])
+    log_c.flags.writeable = False
+    return log_c
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -71,35 +85,31 @@ def factors(probs: np.ndarray) -> tuple:
     (True if < 0) of channels (..., 4) in slot order I, X, Y, Z, each (...)."""
     p_i, p_x, p_y, p_z = np.moveaxis(probs, -1, 0)
     beta, bbar = p_x - p_y, p_i - p_z
-    return (_log(p_x + p_y), _log(p_i + p_z), _log(np.abs(beta)), _log(np.abs(bbar)),
+    return (*_log(np.stack([p_x + p_y, p_i + p_z, np.abs(beta), np.abs(bbar)])),
             beta < 0.0, bbar < 0.0)
 
 
-def log_vectors(factors: tuple, log_c: np.ndarray):
-    """Unscaled log a0 and log |b0| over flip counts j = 0..k of one class with `factors`
-    at P points, each (P, k+1) with log_c[j] added, and the sign of b0 (+1.0 or -1.0)."""
-    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = factors
+def log_vectors(factors: tuple, log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled log a0 and log |b0| over flip counts j = 0..k of one class with `factors` at
+    P points, as (2, P, k+1) with log_c[j] added, and the sign of b0 (+1.0 or -1.0)."""
+    neg_b, neg_bbar = factors[4:]
     k = len(log_c) - 1
-    log_a0 = log_c + _powers(log_a, k) + _powers(log_abar, k)[:, ::-1]
-    log_b0 = log_c + _powers(log_b, k) + _powers(log_bbar, k)[:, ::-1]
+    powers = _powers(np.stack(factors[:4]), k)  # alpha, abar, |beta|, |bbar|
+    log_ab0 = log_c + powers[0::2] + powers[1::2, :, ::-1]
     alternating = np.ones(k + 1)
     alternating[1::2] = -1.0  # (-1)^j; reversed, (-1)^(k-j)
     sign_b0 = (np.where(neg_b[:, None], alternating, 1.0)
                * np.where(neg_bbar[:, None], alternating[::-1], 1.0))
-    return log_a0, log_b0, sign_b0
+    return log_ab0, sign_b0
 
 
 def _class_vectors(factors: tuple, log_w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Scaled (a0, b0) of one class of log weight log_w (P,) over flip counts j = 0..k, as
     a (2, P, k+1) array with binomial C(k, j) included, and the log scale k log_w + s,
     where s is the log of the largest C(k, j) a0(j) at each point."""
-    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
-    log_c = log_fact[k] - (log_fact + log_fact[::-1])  # exactly symmetric in j <-> k - j
-    log_a0, log_b0, sign_b0 = log_vectors(factors, log_c)
-    s = log_a0.max(axis=1)
-    out = np.empty((2,) + log_a0.shape)
-    np.exp(log_a0 - s[:, None], out=out[0])
-    np.exp(log_b0 - s[:, None], out=out[1])
+    log_ab0, sign_b0 = log_vectors(factors, _log_binomials(k))
+    s = log_ab0[0].max(axis=1)
+    out = np.exp(log_ab0 - s[:, None])
     out[1] *= sign_b0
     return out, k * log_w + s
 
@@ -127,9 +137,7 @@ def _half_sum(cond: np.ndarray, weight: np.ndarray, cells: int) -> np.ndarray:
     logs = np.maximum(cond, TINY)
     np.log2(logs, out=logs)
     cond *= logs
-    g = np.add(cond[0], cond[1], out=scratch)
-    g += cond[2]
-    g += cond[3]
+    g = np.add.reduce(cond, axis=0, out=scratch)  # ((c0 + c1) + c2) + c3
     g += 1.0
     g *= weight
     s = g[:, : cells // 2].sum(axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, Basis, PauliChannel
+from .channels import BASIS_SLOTS, Basis, PauliChannel, probs_array
 
 # (u, v) logical-error labels in channel-slot order: identity, X, Y, Z.
 UV_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -124,8 +124,7 @@ def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
         if flipped not in (0, 1):
             raise ValueError(f"flip indicator {flipped} is not 0 or 1")
     # The qubits are the points of one kernel class; sum their logs per flip.
-    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = _kernel.factors(
-        np.array([ch.probs for ch in chs]))
+    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = _kernel.factors(probs_array(chs))
     flipped = np.array(flips, dtype=bool)
     sum_a = np.where(flipped, log_a, log_abar).sum()
     sum_b = np.where(flipped, log_b, log_bbar).sum()
@@ -139,8 +138,8 @@ def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
         raise ValueError(f"m must be >= 1, got {m}")
     # Class r's four joints are (a0 +- b0) / 2 at flip count j = r and
     # (a1 +- b1) / 2 at its mirror m - r, per syndrome vector (no binomial).
-    vectors = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), np.zeros(m + 1))
-    log_a, log_b, sign_b = (x[0].tolist() for x in vectors)
+    log_ab, sign = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), np.zeros(m + 1))
+    (log_a, log_b), sign_b = log_ab[:, 0].tolist(), sign[0].tolist()
     classes = []
     multiplicity = 1  # C(m-1, r), updated exactly
     for r in range(m):
@@ -162,12 +161,12 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
 
 
 def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
-    """Rates of the cat code on each channel of `chs`, evaluated as one batch.
+    """Rates of the cat code on each channel of `chs` (or row of a (P, 4) array), as one batch.
 
     Achievable rate in qubits per channel use, per Eq.-(5)-style conditional
     coherent-information accounting over syndrome weight classes.
     """
-    probs = np.array([ch.probs for ch in chs]).reshape(-1, 4)[:, BASIS_SLOTS[spec.basis]]
+    probs = probs_array(chs)[:, BASIS_SLOTS[spec.basis]]
     return _kernel.rate_sums(np.zeros((1, len(probs))), probs[None], spec.m) / spec.m
 
 

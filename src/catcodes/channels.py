@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 # Components in [-CLAMP_TOL, 0) are treated as roundoff and clamped to 0;
 # anything more negative is a real error.
 CLAMP_TOL = 1e-12
@@ -147,37 +149,47 @@ def make_family(kind: str, params: Mapping[str, float] | None = None) -> Channel
     return ChannelFamily(kind, tuple(sorted(params.items())))
 
 
+def _components(family: ChannelFamily, p):
+    """(p_i, p_x, p_y, p_z) of the family at p in [0, 1], elementwise if p is an array."""
+    if family.kind == "depolarizing":
+        return 1.0 - p, p / 3.0, p / 3.0, p / 3.0
+    if family.kind == "two_pauli":
+        return 1.0 - p, p / 2.0, 0.0, p / 2.0
+    d = dict(family.params)
+    if family.kind == "independent_xz_ratio":
+        # Total error p = q_z + q_x - q_z*q_x: q_z is the smaller root of ratio*q^2 -
+        # (1+ratio)*q + p = 0, without cancellation at tiny p, and its discriminant is
+        # a sum of terms >= 0 on [0, 1], without cancellation near ratio = 1, p = 1.
+        ratio = d["ratio"]
+        disc = (1.0 - ratio) * (1.0 - ratio) + 4.0 * ratio * (1.0 - p)
+        q_z = 2.0 * p / (1.0 + ratio + np.sqrt(disc))
+        q_x = ratio * q_z
+        return (1.0 - q_x) * (1.0 - q_z), q_x * (1.0 - q_z), q_x * q_z, q_z * (1.0 - q_x)
+    return 1.0 - p, p * d["ex"], p * d["ey"], p * d["ez"]
+
+
 def evaluate_family(family: ChannelFamily, p: float) -> PauliChannel:
     """Evaluate the family at total error probability p in [0, 1]."""
     if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
         raise NoSolutionError(f"p = {p} outside [0, 1.0] for {family.kind}")
-    p = min(max(p, 0.0), 1.0)
-    if family.kind == "depolarizing":
-        return PauliChannel(1.0 - p, p / 3.0, p / 3.0, p / 3.0)
-    if family.kind == "two_pauli":
-        return PauliChannel(1.0 - p, p / 2.0, 0.0, p / 2.0)
-    if family.kind == "independent_xz_ratio":
-        ratio = dict(family.params)["ratio"]
-        q_z = _solve_independent_qz(ratio, p)
-        q_x = ratio * q_z
-        return PauliChannel(
-            (1.0 - q_x) * (1.0 - q_z),
-            q_x * (1.0 - q_z),
-            q_x * q_z,
-            q_z * (1.0 - q_x),
-        )
-    d = dict(family.params)
-    return PauliChannel(1.0 - p, p * d["ex"], p * d["ey"], p * d["ez"])
+    return PauliChannel(*_components(family, min(max(p, 0.0), 1.0)))
 
 
-def _solve_independent_qz(ratio: float, p: float) -> float:
-    """Root in [0, 1] of ratio*q^2 - (1+ratio)*q + p = 0.
+def family_probs(family: ChannelFamily, ps) -> np.ndarray:
+    """`evaluate_family(family, p).probs` for every p of ps, as one (P, 4) array, bit
+    for bit, with `PauliChannel`'s clamp and sum rules and the same exceptions."""
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    outside = ~((-CLAMP_TOL <= ps) & (ps <= 1.0 + CLAMP_TOL))
+    if outside.any():
+        raise NoSolutionError(f"p = {ps[outside][0]} outside [0, 1.0] for {family.kind}")
+    probs = np.stack(np.broadcast_arrays(*_components(family, np.clip(ps, 0.0, 1.0))), axis=-1)
+    probs[(-CLAMP_TOL <= probs) & (probs < 0.0)] = 0.0
+    total = probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3]
+    if not ((probs >= 0.0).all() and (abs(total - 1.0) <= SUM_TOL).all()):
+        raise InvalidDistributionError("Pauli probabilities NaN, negative or not summing to 1")
+    return probs
 
-    Independence of amplitude and phase errors with q_x = ratio * q_z gives
-    total error p = q_z + q_x - q_z*q_x; this is the smaller quadratic root.
-    """
-    # (1 + ratio)^2 - 4 ratio p as a sum of terms >= 0 for p in [0, 1], so
-    # that it does not cancel near ratio = 1, p = 1.
-    disc = (1.0 - ratio) * (1.0 - ratio) + 4.0 * ratio * (1.0 - p)
-    # Smaller root, written to avoid cancellation when p is tiny.
-    return 2.0 * p / (1.0 + ratio + math.sqrt(disc))
+
+def probs_array(chs) -> np.ndarray:
+    """(P, 4) probabilities of the channels `chs`, or `chs` itself if it is such an array."""
+    return chs if isinstance(chs, np.ndarray) else np.array([ch.probs for ch in chs]).reshape(-1, 4)

@@ -23,6 +23,7 @@ from .channels import (
     ChannelFamily,
     PauliChannel,
     evaluate_family,
+    family_probs,
     make_family,
 )
 from .catcode import UV_ORDER, CatCodeSpec, cat_rate, cat_rates
@@ -306,8 +307,8 @@ def cmd_scan_m(args) -> int:
 
 def _figure1_column(task) -> list[float]:
     """Rates of one cat code at every channel of the grid, evaluated as one batch."""
-    code, chs = task
-    return cat_rates(chs, code).tolist()
+    code, probs = task
+    return cat_rates(probs, code).tolist()
 
 
 def cmd_figure1(args) -> int:
@@ -316,8 +317,8 @@ def cmd_figure1(args) -> int:
     if isinstance(code, ConcatSpec):
         raise SpecParseError("figure1 uses single-level cat codes", args.code, 0)
     ms, ps = _m_range(args.m_range), _p_grid(args.p_grid)
-    chs = [evaluate_family(chspec.family, p) for p in ps]  # a p outside [0, 1] exits 3 here
-    columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), chs) for m in ms])
+    probs = family_probs(chspec.family, ps)  # a p outside [0, 1] exits 3 here
+    columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), probs) for m in ms])
     rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
     config = (
         f"channel={format_channel_spec(chspec.family, None)} | basis={code.basis.value}"

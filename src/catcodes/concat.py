@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, PauliChannel
+from .channels import BASIS_SLOTS, PauliChannel, probs_array
 from .catcode import CatCodeSpec
 
 # Largest number of (composition, flip-count) cells one rate evaluation sums
@@ -53,7 +53,7 @@ def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
     # A length-1 code has no stabilizers; its logical frame is the physical one,
     # so the basis label is ignored and the degenerate reduction returns the
     # input channel unchanged.
-    probs = np.array([ch.probs for ch in chs]).reshape(-1, 4)
+    probs = probs_array(chs)
     return probs[:, BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
 
 
@@ -71,7 +71,7 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
 
 def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:
     """Rates (qubits per physical channel use) of the concatenated code on each
-    channel of `chs`, exact, evaluated as one batch.
+    channel of `chs` (or row of a (P, 4) array), exact, evaluated as one batch.
 
     Enumerates compositions of the outer length over inner syndrome classes in
     lexicographic order with multinomial weights, then per-class flipped-block

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .channels import Basis, ChannelFamily, evaluate_family
+from .channels import Basis, ChannelFamily, evaluate_family, family_probs
 from .catcode import CatCodeSpec, cat_rates
 from .concat import ConcatSpec, concat_rates
 from .degradable import antidegradable
@@ -20,13 +20,9 @@ CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
 # scans for sign changes before it bisects.
 PRE_SCAN_POINTS = 64
 _PRE_SCAN_GRID = tuple((i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS))
-# Bisection levels whose midpoints `threshold` evaluates as one batch: up to
-# 2**3 - 1 = 7 points, which cost little more than one.
+# Bisection levels whose midpoints `threshold` evaluates as one batch when it follows
+# no predicted path: up to 2**3 - 1 = 7 points, which cost little more than one.
 BISECTION_LEVELS_PER_BATCH = 3
-# Depth, in bisection levels below the bracket, to which each batch also
-# evaluates the midpoints on the path toward the predicted crossing: at most
-# PATH_DEPTH - BISECTION_LEVELS_PER_BATCH = 4 more points.
-PATH_DEPTH = 7
 
 
 class NoBracketError(RuntimeError):
@@ -56,24 +52,23 @@ class ScanRow:
     threshold: Optional[float] = None
 
 
-def _rates(chs, code: CodeSpec) -> np.ndarray:
-    """Rates of `code` on each channel of `chs`, as one batch; None is hashing."""
-    code = CatCodeSpec(1) if code is None else code
+def _rates(probs: np.ndarray, code: CodeSpec) -> np.ndarray:
+    """Rates of `code` on each channel of the (P, 4) `probs`, as one batch; None is hashing."""
     if isinstance(code, ConcatSpec):
-        return concat_rates(chs, code)
-    return cat_rates(chs, code)
+        return concat_rates(probs, code)
+    return cat_rates(probs, CatCodeSpec(1) if code is None else code)
 
 
 def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
     """Rate of `code` on the family's channel at noise p; code=None means
     hashing, the rate of the 1-cat code."""
-    return float(_rates([evaluate_family(family, p)], code)[0])
+    return float(_rates(np.array([evaluate_family(family, p).probs]), code)[0])
 
 
 def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
-    """`code_rate` at every p of `ps`, evaluated as one batch; each value equals,
-    bit for bit, the rate at that p evaluated alone."""
-    return _rates([evaluate_family(family, p) for p in ps], code)
+    """`code_rate` at every p of `ps`, evaluated as one batch on their (P, 4)
+    `family_probs`; each value equals, bit for bit, the rate at that p alone."""
+    return _rates(family_probs(family, ps), code)
 
 
 @functools.lru_cache(maxsize=64)
@@ -99,11 +94,14 @@ def _predicted_crossing(known: dict[float, float], lo: float, hi: float) -> Opti
     4), through the bracket ends and the evaluated point nearest outside them
     (no point inside the bracket has been evaluated); otherwise the secant
     through the bracket ends.  `known` maps every evaluated point to its
-    rate; a certified end has none, so no prediction.
+    rate; a certified end has none, so no prediction.  A rate of exactly 0.0 at
+    hi, which no interpolation moves off, predicts hi itself.
     """
     if lo not in known or hi not in known:
         return None
     f_lo, f_hi = known[lo], known[hi]
+    if f_hi == 0.0:
+        return hi
     outside = [p for p in known if not lo <= p <= hi]
     if outside:
         p = min(outside, key=lambda p: max(lo - p, p - hi))
@@ -121,11 +119,17 @@ def _predicted_crossing(known: dict[float, float], lo: float, hi: float) -> Opti
 
 
 def _batch_midpoints(lo: float, hi: float, tol: float, target: Optional[float]) -> list[float]:
-    """Midpoints of the next `BISECTION_LEVELS_PER_BATCH` bisection levels
-    below (lo, hi), then those on the path toward `target` down to
-    `PATH_DEPTH` levels, each computed from its (lo, hi) pair exactly as
-    bisection computes it."""
-    mids, level = [], [(lo, hi)]
+    """Midpoints on the bisection path from (lo, hi) toward `target` down to tol,
+    or, with no target, those of the next `BISECTION_LEVELS_PER_BATCH` levels
+    below (lo, hi), each computed from its (lo, hi) pair exactly as bisection
+    computes it."""
+    mids = []
+    if target is not None:
+        while (mid := _split(lo, hi, tol)) is not None:
+            mids.append(mid)
+            lo, hi = (mid, hi) if target > mid else (lo, mid)
+        return mids
+    level = [(lo, hi)]
     for _ in range(BISECTION_LEVELS_PER_BATCH):
         children = []
         for a, b in level:
@@ -134,14 +138,6 @@ def _batch_midpoints(lo: float, hi: float, tol: float, target: Optional[float]) 
                 mids.append(mid)
                 children += [(a, mid), (mid, b)]
         level = children
-    if target is not None:
-        for depth in range(PATH_DEPTH):
-            mid = _split(lo, hi, tol)
-            if mid is None:
-                break
-            if depth >= BISECTION_LEVELS_PER_BATCH:
-                mids.append(mid)
-            lo, hi = (mid, hi) if target > mid else (lo, mid)
     return mids
 
 
@@ -156,13 +152,18 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     antidegradable count as rate <= 0 and are not evaluated; p = 0 and the
     remaining points are evaluated as one batch (`code_rates`).  The bracket
     is then refined by batched bisection along a predicted path: each batch
-    evaluates the midpoints of the next `BISECTION_LEVELS_PER_BATCH` levels
-    and those on the path toward the crossing that `_predicted_crossing`
-    predicts, down to `PATH_DEPTH` levels.  Bisection then walks down while
-    its midpoint has been evaluated, so the result is bit for bit that of
-    plain bisection: the prediction only chooses which points to evaluate.
-    Bisection stops at width <= tol, or when no float lies strictly inside
-    the bracket.  Every evaluated point counts as one evaluation.
+    evaluates the midpoints on the path toward the crossing `_predicted_crossing`
+    predicts, down to tol, or else those of the next `BISECTION_LEVELS_PER_BATCH`
+    levels.  Bisection then walks down while its midpoint has been evaluated,
+    so the result is bit for bit that of plain bisection: the prediction only
+    chooses which points to evaluate.  Bisection stops at width <= tol, or when
+    no float lies strictly inside the bracket.  Every evaluated point counts as
+    one evaluation.
+
+    A batch but the last that walks fewer than L = `BISECTION_LEVELS_PER_BATCH`
+    levels followed a path that went wrong near its top; the next batch
+    evaluates full levels.  So if plain bisection takes `levels` steps from the
+    pre-scan bracket, there are at most 1 + 2 ceil(levels / (L + 1)) batches.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -187,18 +188,21 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
         warning = f"{len(crossings)} sign changes on the coarse grid; using the largest"
 
     lo, hi = crossings[-1]
+    levels = BISECTION_LEVELS_PER_BATCH
     while _split(lo, hi, tol) is not None:
-        target = _predicted_crossing(known, lo, hi)
+        target = _predicted_crossing(known, lo, hi) if levels >= BISECTION_LEVELS_PER_BATCH else None
         mids = [p for p in _batch_midpoints(lo, hi, tol, target) if p not in known]
         known.update(zip(mids, map(float, code_rates(family, code, mids))))
         batches += 1
         # Stops at the first midpoint not yet evaluated, which the next batch
         # evaluates first; nothing below it has been evaluated either.
+        levels = 0
         while (mid := _split(lo, hi, tol)) is not None and mid in known:
             if known[mid] > 0.0:
                 lo = mid
             else:
                 hi = mid
+            levels += 1
     skipped = PRE_SCAN_POINTS - len(scan)
     return ThresholdResult(
         0.5 * (lo + hi), (lo, hi), len(known), skipped, batches, code, family, warning

@@ -5,6 +5,7 @@ import pytest
 from catcodes import (
     Basis,
     CatCodeSpec,
+    ChannelFamily,
     ConcatSpec,
     InvalidDistributionError,
     NoSolutionError,
@@ -17,6 +18,7 @@ from catcodes import (
     make_family,
     permute_basis,
 )
+from catcodes.channels import family_probs
 from conftest import random_channels
 
 
@@ -180,6 +182,45 @@ class TestFamilies:
     def test_invalid_parameters(self, kind, params):
         with pytest.raises(ValueError):
             make_family(kind, params)
+
+
+FAMILIES = [
+    make_family("depolarizing"),
+    make_family("two_pauli"),
+    make_family("independent_xz_ratio", {"ratio": 9.0}),
+    make_family("independent_xz_ratio", {"ratio": 1.0 + 2.0**-40}),
+    make_family("custom_ray", {"ex": 1.0, "ez": 2.0}),
+]
+
+
+class TestFamilyProbs:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    def test_rows_are_evaluate_family_bit_for_bit(self, family):
+        grid = [0.0, 1.0, -5e-13, 1.0 + 5e-13, 1e-300, 0.1, 0.1892896249, 0.5, 1.0 - 1e-16]
+        rows = family_probs(family, grid)
+        assert rows.shape == (len(grid), 4)
+        for p, row in zip(grid, rows.tolist()):
+            assert [x.hex() for x in row] == [x.hex() for x in evaluate_family(family, p).probs]
+        assert family_probs(family, []).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "family",
+        FAMILIES + [
+            # Directions make_family rejects: a negative component, and a sum of 2.
+            ChannelFamily("custom_ray", (("ex", -1.0), ("ey", 0.0), ("ez", 2.0))),
+            ChannelFamily("custom_ray", (("ex", 1.0), ("ey", 0.0), ("ez", 1.0))),
+        ],
+    )
+    @pytest.mark.parametrize("p", [-1e-11, 1.0 + 1e-11, 1.5, math.nan, 0.25])
+    def test_raises_what_evaluate_family_raises(self, family, p):
+        try:
+            evaluate_family(family, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                family_probs(family, [0.1, p])
+            assert type(got.value) is type(exc)
+        else:
+            assert family_probs(family, [0.1, p]).shape == (2, 4)
 
 
 class TestPermuteBasis:

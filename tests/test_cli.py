@@ -281,12 +281,11 @@ class TestThresholdCommand:
         assert record["bracket"][0] < record["p_star"] < record["bracket"][1]
         # Two-Pauli is antidegradable for 1/3 < p < 1: 42 of the 64 pre-scan
         # points, i.e. 22/64 .. 63/64, are skipped.  p = 0 and the other 22
-        # points make one batch.  11 bisection levels take 2 more: 7 levels
-        # from 11 midpoints (3 full levels, then 4 on the predicted path),
-        # then the last 4 from 8 (3 full levels, then 1 on the path).
+        # points make one batch.  11 bisection levels take 1 more: the 11
+        # midpoints on the predicted path, down to tol.
         assert record["skipped"] == 42
-        assert record["batches"] == 3
-        assert record["evaluations"] == 23 + 11 + 8
+        assert record["batches"] == 2
+        assert record["evaluations"] == 23 + 11
 
 
 class TestCsvCommands:

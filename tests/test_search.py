@@ -184,10 +184,36 @@ class TestThreshold:
         assert (res.p_star, res.bracket, res.warning) == want
         assert res.batches <= 1 + math.ceil(levels / search.BISECTION_LEVELS_PER_BATCH)
         assert res.evaluations == sum(map(len, batches))
-        # Past the 7 midpoints of the first 3 levels, the first batch follows
-        # the wrong path: every point on it lies right of c.
+        # The first batch follows the wrong path down to tol, one midpoint per
+        # level: every point on it lies right of c.
         first = batches[1]
-        assert len(first) == 11 and min(first[7:]) > c
+        assert len(first) == levels and min(first) > c
+
+    def test_predictions_on_the_wrong_side_keep_the_stated_batch_bound(self, monkeypatch):
+        # Every prediction lies in the half of the bracket away from c, so each
+        # path goes wrong at its first midpoint and walks one level, and the
+        # batch after it evaluates full levels: the worst case of the bound
+        # in `threshold`'s docstring.
+        c = 0.3001
+
+        def rate(p):
+            return c - p
+
+        def wrong_side(known, lo, hi):
+            mid = 0.5 * (lo + hi)
+            return 0.5 * (lo + mid) if c > mid else 0.5 * (mid + hi)
+
+        walked = []
+        want = plain_threshold(DEPHASING, None, 1e-9, rate=lambda p: walked.append(p) or rate(p))
+        levels = len(walked) - 65
+        monkeypatch.setattr(search, "_predicted_crossing", wrong_side)
+        res, batches = self.stub_threshold(monkeypatch, DEPHASING, rate, 1e-9)
+        assert (res.p_star, res.bracket, res.warning) == want
+        assert res.evaluations == sum(map(len, batches))
+        full_levels = search.BISECTION_LEVELS_PER_BATCH
+        assert res.batches <= 1 + 2 * math.ceil(levels / (full_levels + 1))
+        # Paths of every remaining level alternate with the 7 points of 3 full levels.
+        assert [len(b) for b in batches[2:4]] == [7, levels - 4]
 
     def test_exact_zero_at_a_walked_midpoint(self, monkeypatch):
         # Pre-scan bracket (19/64, 20/64); its midpoint 39/128 is a float and
@@ -197,15 +223,17 @@ class TestThreshold:
         def rate(p):
             return c - p
 
-        want = plain_threshold(DEPHASING, None, 1e-6, rate=rate)
+        walked = []
+        want = plain_threshold(DEPHASING, None, 1e-6, rate=lambda p: walked.append(p) or rate(p))
         res, batches = self.stub_threshold(monkeypatch, DEPHASING, rate, 1e-6)
         assert (res.p_star, res.bracket, res.warning) == want
         assert res.bracket[1] == c
         assert rate(c) == 0.0 and c in batches[1]
         assert res.evaluations == sum(map(len, batches))
-        # From then on hi has rate 0.0, every prediction is hi itself and is
-        # rejected, so each batch is at most the 7 midpoints of 3 levels.
-        assert all(len(b) <= 7 for b in batches[2:])
+        # Interpolating the linear rate predicts c, and the path toward it
+        # hugs hi = c from below, where bisection walks: one batch holds exactly
+        # plain bisection's midpoints.
+        assert batches[1:] == [walked[65:]]
 
     def test_certified_upper_end_falls_back_to_the_plain_batch(self, monkeypatch):
         # On depolarizing noise 17/64 is the first pre-scan point certified
@@ -233,11 +261,13 @@ class TestThreshold:
         assert math.nextafter(lo, 1.0) == hi
         assert code_rate(DEPOL, CatCodeSpec(3), lo) > 0.0 >= code_rate(DEPOL, CatCodeSpec(3), hi)
 
-    def test_hashing_on_dephasing_gains_no_batches_and_wastes_no_points(self):
-        # The rate touches zero at p = 1/2 with zero slope: rate(1/2) = 0.0,
-        # so every prediction is the bracket's upper end and none is used.
+    def test_hashing_on_dephasing_follows_the_upper_end_in_one_batch(self):
+        # The rate touches zero at p = 1/2 with zero slope: rate(1/2) = 0.0, so
+        # the prediction is the bracket's upper end, toward which bisection
+        # walks.  p = 0, the 64 pre-scan points, then the 14 midpoints of plain
+        # bisection in one batch.
         res = threshold(DEPHASING, None, tol=1e-6)
-        assert (res.batches, res.evaluations) == (6, 96)
+        assert (res.batches, res.evaluations) == (2, 79)
 
 
 class TestCodeRate:
