@@ -35,7 +35,6 @@ so only the first half of the cells is evaluated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -65,15 +64,6 @@ def _powers(log_x: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros(log_x.shape + (k + 1,))
     np.multiply(log_x[..., None], np.arange(1, k + 1), out=out[..., 1:])
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _log_binomials(k: int) -> np.ndarray:
-    """log C(k, j) for j = 0..k, exactly symmetric in j <-> k - j; read-only, as it is shared."""
-    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
-    log_c = log_fact[k] - (log_fact + log_fact[::-1])
-    log_c.flags.writeable = False
-    return log_c
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -107,7 +97,9 @@ def _class_vectors(factors: tuple, log_w: np.ndarray, k: int) -> tuple[np.ndarra
     """Scaled (a0, b0) of one class of log weight log_w (P,) over flip counts j = 0..k, as
     a (2, P, k+1) array with binomial C(k, j) included, and the log scale k log_w + s,
     where s is the log of the largest C(k, j) a0(j) at each point."""
-    log_ab0, sign_b0 = log_vectors(factors, _log_binomials(k))
+    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
+    log_c = log_fact[k] - (log_fact + log_fact[::-1])  # exactly symmetric in j <-> k - j
+    log_ab0, sign_b0 = log_vectors(factors, log_c)
     s = log_ab0[0].max(axis=1)
     out = np.exp(log_ab0 - s[:, None])
     out[1] *= sign_b0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, Basis, PauliChannel, probs_array
+from .channels import BASIS_SLOTS, Basis, PauliChannel
 
 # (u, v) logical-error labels in channel-slot order: identity, X, Y, Z.
 UV_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -124,7 +124,8 @@ def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
         if flipped not in (0, 1):
             raise ValueError(f"flip indicator {flipped} is not 0 or 1")
     # The qubits are the points of one kernel class; sum their logs per flip.
-    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = _kernel.factors(probs_array(chs))
+    log_a, log_abar, log_b, log_bbar, neg_b, neg_bbar = _kernel.factors(
+        np.array([ch.probs for ch in chs]))
     flipped = np.array(flips, dtype=bool)
     sum_a = np.where(flipped, log_a, log_abar).sum()
     sum_b = np.where(flipped, log_b, log_bbar).sum()
@@ -161,12 +162,17 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
 
 
 def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
-    """Rates of the cat code on each channel of `chs` (or row of a (P, 4) array), as one batch.
+    """Rates of the cat code on each channel of `chs`, evaluated as one batch.
 
     Achievable rate in qubits per channel use, per Eq.-(5)-style conditional
     coherent-information accounting over syndrome weight classes.
     """
-    probs = probs_array(chs)[:, BASIS_SLOTS[spec.basis]]
+    return _cat_rates(np.array([ch.probs for ch in chs]).reshape(-1, 4), spec)
+
+
+def _cat_rates(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
+    """`cat_rates` on the rows of a (P, 4) array of checked probabilities (`family_probs`)."""
+    probs = probs[:, BASIS_SLOTS[spec.basis]]
     return _kernel.rate_sums(np.zeros((1, len(probs))), probs[None], spec.m) / spec.m
 
 

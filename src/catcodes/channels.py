@@ -188,8 +188,3 @@ def family_probs(family: ChannelFamily, ps) -> np.ndarray:
     if not ((probs >= 0.0).all() and (abs(total - 1.0) <= SUM_TOL).all()):
         raise InvalidDistributionError("Pauli probabilities NaN, negative or not summing to 1")
     return probs
-
-
-def probs_array(chs) -> np.ndarray:
-    """(P, 4) probabilities of the channels `chs`, or `chs` itself if it is such an array."""
-    return chs if isinstance(chs, np.ndarray) else np.array([ch.probs for ch in chs]).reshape(-1, 4)

@@ -26,7 +26,7 @@ from .channels import (
     family_probs,
     make_family,
 )
-from .catcode import UV_ORDER, CatCodeSpec, cat_rate, cat_rates
+from .catcode import UV_ORDER, CatCodeSpec, _cat_rates, cat_rate
 from .concat import CompositionLimitError, ConcatSpec, concat_rate
 from .degradable import degradability_verdict, kraus_from_pauli
 from .search import NoBracketError, best_length_scan, code_rate, threshold
@@ -308,7 +308,7 @@ def cmd_scan_m(args) -> int:
 def _figure1_column(task) -> list[float]:
     """Rates of one cat code at every channel of the grid, evaluated as one batch."""
     code, probs = task
-    return cat_rates(probs, code).tolist()
+    return _cat_rates(probs, code).tolist()
 
 
 def cmd_figure1(args) -> int:

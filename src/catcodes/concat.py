@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, PauliChannel, probs_array
+from .channels import BASIS_SLOTS, PauliChannel
 from .catcode import CatCodeSpec
 
 # Largest number of (composition, flip-count) cells one rate evaluation sums
@@ -49,11 +49,10 @@ class ConcatSpec:
     outer: CatCodeSpec
 
 
-def _inner_probs(chs, spec: CatCodeSpec) -> np.ndarray:
+def _inner_probs(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
     # A length-1 code has no stabilizers; its logical frame is the physical one,
     # so the basis label is ignored and the degenerate reduction returns the
     # input channel unchanged.
-    probs = probs_array(chs)
     return probs[:, BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
 
 
@@ -64,26 +63,31 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
     with weight 0 and a noiseless placeholder channel; a weight of 0 alone does
     not mark such a class, since exp of a finite log weight below about -745
     underflows to 0 too."""
-    log_w, cond = _kernel.inner_ensemble(_inner_probs([ch], spec), spec.m)
+    log_w, cond = _kernel.inner_ensemble(_inner_probs(np.array([ch.probs]), spec), spec.m)
     return tuple((math.exp(lw), PauliChannel(*c))
                  for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))
 
 
 def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:
     """Rates (qubits per physical channel use) of the concatenated code on each
-    channel of `chs` (or row of a (P, 4) array), exact, evaluated as one batch.
+    channel of `chs`, exact, evaluated as one batch.
 
     Enumerates compositions of the outer length over inner syndrome classes in
     lexicographic order with multinomial weights, then per-class flipped-block
     counts; no sampling is involved and the summation order is fixed, so the
     result is deterministic.
     """
+    return _concat_rates(np.array([ch.probs for ch in chs]).reshape(-1, 4), spec)
+
+
+def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
+    """`concat_rates` on the rows of a (P, 4) array of checked probabilities (`family_probs`)."""
     n, big_m = spec.inner.m, spec.outer.m
     for count, cap in ((math.comb(big_m + 2 * n - 1, 2 * n - 1), MAX_CELLS),
                        (math.comb(big_m + n - 1, n - 1), MAX_COMPOSITIONS)):
         if count > cap:
             raise CompositionLimitError(count, cap)
-    log_w, cond = _kernel.inner_ensemble(_inner_probs(chs, spec.inner), n)
+    log_w, cond = _kernel.inner_ensemble(_inner_probs(probs, spec.inner), n)
     outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
     return _kernel.rate_sums(log_w, outer, big_m) / (n * big_m)
 

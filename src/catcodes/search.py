@@ -10,8 +10,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .channels import Basis, ChannelFamily, evaluate_family, family_probs
-from .catcode import CatCodeSpec, cat_rates
-from .concat import ConcatSpec, concat_rates
+from .catcode import CatCodeSpec, _cat_rates
+from .concat import ConcatSpec, _concat_rates
 from .degradable import antidegradable
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
@@ -55,14 +55,14 @@ class ScanRow:
 def _rates(probs: np.ndarray, code: CodeSpec) -> np.ndarray:
     """Rates of `code` on each channel of the (P, 4) `probs`, as one batch; None is hashing."""
     if isinstance(code, ConcatSpec):
-        return concat_rates(probs, code)
-    return cat_rates(probs, CatCodeSpec(1) if code is None else code)
+        return _concat_rates(probs, code)
+    return _cat_rates(probs, CatCodeSpec(1) if code is None else code)
 
 
 def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
     """Rate of `code` on the family's channel at noise p; code=None means
     hashing, the rate of the 1-cat code."""
-    return float(_rates(np.array([evaluate_family(family, p).probs]), code)[0])
+    return float(_rates(family_probs(family, [p]), code)[0])
 
 
 def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
@@ -94,14 +94,11 @@ def _predicted_crossing(known: dict[float, float], lo: float, hi: float) -> Opti
     4), through the bracket ends and the evaluated point nearest outside them
     (no point inside the bracket has been evaluated); otherwise the secant
     through the bracket ends.  `known` maps every evaluated point to its
-    rate; a certified end has none, so no prediction.  A rate of exactly 0.0 at
-    hi, which no interpolation moves off, predicts hi itself.
+    rate; a certified end has none, so no prediction.
     """
     if lo not in known or hi not in known:
         return None
     f_lo, f_hi = known[lo], known[hi]
-    if f_hi == 0.0:
-        return hi
     outside = [p for p in known if not lo <= p <= hi]
     if outside:
         p = min(outside, key=lambda p: max(lo - p, p - hi))
@@ -119,13 +116,14 @@ def _predicted_crossing(known: dict[float, float], lo: float, hi: float) -> Opti
 
 
 def _batch_midpoints(lo: float, hi: float, tol: float, target: Optional[float]) -> list[float]:
-    """Midpoints on the bisection path from (lo, hi) toward `target` down to tol,
-    or, with no target, those of the next `BISECTION_LEVELS_PER_BATCH` levels
-    below (lo, hi), each computed from its (lo, hi) pair exactly as bisection
-    computes it."""
+    """Midpoints on the bisection path from (lo, hi) toward `target`, down to
+    width max(tol, w**3) for the bracket's width w, or, with no target, those
+    of the next `BISECTION_LEVELS_PER_BATCH` levels below (lo, hi), each
+    computed from its (lo, hi) pair exactly as bisection computes it."""
     mids = []
     if target is not None:
-        while (mid := _split(lo, hi, tol)) is not None:
+        floor = max(tol, (hi - lo) ** 3)
+        while (mid := _split(lo, hi, floor)) is not None:
             mids.append(mid)
             lo, hi = (mid, hi) if target > mid else (lo, mid)
         return mids
@@ -153,12 +151,15 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     remaining points are evaluated as one batch (`code_rates`).  The bracket
     is then refined by batched bisection along a predicted path: each batch
     evaluates the midpoints on the path toward the crossing `_predicted_crossing`
-    predicts, down to tol, or else those of the next `BISECTION_LEVELS_PER_BATCH`
-    levels.  Bisection then walks down while its midpoint has been evaluated,
-    so the result is bit for bit that of plain bisection: the prediction only
-    chooses which points to evaluate.  Bisection stops at width <= tol, or when
-    no float lies strictly inside the bracket.  Every evaluated point counts as
-    one evaluation.
+    predicts, or else those of the next `BISECTION_LEVELS_PER_BATCH` levels.  A
+    path from a bracket of width w stops at width w**3 (or tol): the
+    interpolation error is of order w**2 to w**3, so a path seldom holds
+    deeper, and the points below where it goes wrong are wasted.  Bisection
+    then walks down while its midpoint has been evaluated, so the result is
+    bit for bit that of plain bisection: the prediction only chooses which
+    points to evaluate.  Bisection stops at width <= tol, or when no float
+    lies strictly inside the bracket.  Every evaluated point counts as one
+    evaluation.
 
     A batch but the last that walks fewer than L = `BISECTION_LEVELS_PER_BATCH`
     levels followed a path that went wrong near its top; the next batch

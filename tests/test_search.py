@@ -28,6 +28,7 @@ DEPOL = make_family("depolarizing")
 TWO_PAULI = make_family("two_pauli")
 NINE_TO_ONE = make_family("independent_xz_ratio", {"ratio": 9.0})
 DEPHASING = make_family("custom_ray", {"ez": 1.0})
+BIT_FLIP = make_family("custom_ray", {"ex": 1.0})
 
 # Frozen zero-crossings of the hashing rate (50-digit bisection, rounded).
 HASHING_ZERO_DEPOL = 0.1892896249
@@ -184,10 +185,11 @@ class TestThreshold:
         assert (res.p_star, res.bracket, res.warning) == want
         assert res.batches <= 1 + math.ceil(levels / search.BISECTION_LEVELS_PER_BATCH)
         assert res.evaluations == sum(map(len, batches))
-        # The first batch follows the wrong path down to tol, one midpoint per
-        # level: every point on it lies right of c.
+        # The first batch follows the wrong path from the pre-scan bracket of
+        # width 2**-6 down to width 2**-18, one midpoint per level: every point
+        # on it lies right of c.
         first = batches[1]
-        assert len(first) == levels and min(first) > c
+        assert len(first) == 12 and min(first) > c
 
     def test_predictions_on_the_wrong_side_keep_the_stated_batch_bound(self, monkeypatch):
         # Every prediction lies in the half of the bracket away from c, so each
@@ -212,8 +214,25 @@ class TestThreshold:
         assert res.evaluations == sum(map(len, batches))
         full_levels = search.BISECTION_LEVELS_PER_BATCH
         assert res.batches <= 1 + 2 * math.ceil(levels / (full_levels + 1))
-        # Paths of every remaining level alternate with the 7 points of 3 full levels.
+        # The 7 points of 3 full levels, then a path through every remaining
+        # level: tol lies above its floor, (2**-10)**3.
         assert [len(b) for b in batches[2:4]] == [7, levels - 4]
+
+    @pytest.mark.parametrize(
+        "family, code",
+        [(BIT_FLIP, CatCodeSpec(5, Basis.X)),
+         (DEPHASING, ConcatSpec(CatCodeSpec(2), CatCodeSpec(3, Basis.X)))],
+        ids=["bitflip-5cat_x", "dephasing-2in3_x"],
+    )
+    def test_rounding_noise_costs_no_more_than_full_levels(self, family, code, monkeypatch):
+        # Below p = 1/2 both rates fall to rounding noise, 0.0 or about 1e-17,
+        # long before tol 1e-12, so a path that runs on into the noise goes
+        # wrong deep down; predicted paths must cost no more than full levels.
+        res = threshold(family, code, tol=1e-12)
+        monkeypatch.setattr(search, "_predicted_crossing", lambda known, lo, hi: None)
+        full = threshold(family, code, tol=1e-12)
+        assert (res.p_star, res.bracket) == (full.p_star, full.bracket)
+        assert res.evaluations <= full.evaluations and res.batches <= full.batches
 
     def test_exact_zero_at_a_walked_midpoint(self, monkeypatch):
         # Pre-scan bracket (19/64, 20/64); its midpoint 39/128 is a float and
@@ -223,17 +242,15 @@ class TestThreshold:
         def rate(p):
             return c - p
 
-        walked = []
-        want = plain_threshold(DEPHASING, None, 1e-6, rate=lambda p: walked.append(p) or rate(p))
+        want = plain_threshold(DEPHASING, None, 1e-6, rate=rate)
         res, batches = self.stub_threshold(monkeypatch, DEPHASING, rate, 1e-6)
         assert (res.p_star, res.bracket, res.warning) == want
         assert res.bracket[1] == c
         assert rate(c) == 0.0 and c in batches[1]
         assert res.evaluations == sum(map(len, batches))
-        # Interpolating the linear rate predicts c, and the path toward it
-        # hugs hi = c from below, where bisection walks: one batch holds exactly
-        # plain bisection's midpoints.
-        assert batches[1:] == [walked[65:]]
+        # From then on hi has rate 0.0, every prediction is hi itself and is
+        # rejected, so each batch is at most the 7 midpoints of 3 levels.
+        assert all(len(b) <= 7 for b in batches[2:])
 
     def test_certified_upper_end_falls_back_to_the_plain_batch(self, monkeypatch):
         # On depolarizing noise 17/64 is the first pre-scan point certified
@@ -261,13 +278,11 @@ class TestThreshold:
         assert math.nextafter(lo, 1.0) == hi
         assert code_rate(DEPOL, CatCodeSpec(3), lo) > 0.0 >= code_rate(DEPOL, CatCodeSpec(3), hi)
 
-    def test_hashing_on_dephasing_follows_the_upper_end_in_one_batch(self):
-        # The rate touches zero at p = 1/2 with zero slope: rate(1/2) = 0.0, so
-        # the prediction is the bracket's upper end, toward which bisection
-        # walks.  p = 0, the 64 pre-scan points, then the 14 midpoints of plain
-        # bisection in one batch.
+    def test_hashing_on_dephasing_gains_no_batches_and_wastes_no_points(self):
+        # The rate touches zero at p = 1/2 with zero slope: rate(1/2) = 0.0,
+        # so every prediction is the bracket's upper end and none is used.
         res = threshold(DEPHASING, None, tol=1e-6)
-        assert (res.batches, res.evaluations) == (2, 79)
+        assert (res.batches, res.evaluations) == (6, 96)
 
 
 class TestCodeRate:
