@@ -20,7 +20,6 @@ from .catcode import (
     SyndromeClass,
     ZeroProbabilityClassError,
     cat_rate,
-    cat_rates,
     induced_channel,
     joint_prob,
     joint_prob_hetero,
@@ -31,7 +30,6 @@ from .concat import (
     CompositionLimitError,
     ConcatSpec,
     concat_rate,
-    concat_rates,
     induced_ensemble,
 )
 from .degradable import (

@@ -6,9 +6,10 @@ syndrome vector depends only on the syndrome's Hamming weight r, so all
 quantities are computed over the m weight classes instead of the 2^(m-1)
 syndrome vectors.
 
-Everything here comes from the shared numpy kernel (`_kernel`).  `cat_rate`
-and `cat_rates` are its one-class rate sum.  `syndrome_classes`, `joint_prob`
-and `induced_channel` read the class probabilities from the kernel's unscaled
+Everything here comes from the shared numpy kernel (`_kernel`).  `_cat_rates`
+is its one-class rate sum over the rows of a (P, 4) probability array, and
+`cat_rate` that sum on one channel.  `syndrome_classes`, `joint_prob` and
+`induced_channel` read the class probabilities from the kernel's unscaled
 log-domain vectors over flip counts (`_kernel.log_vectors`), and
 `joint_prob_hetero` forms the same two products for position-dependent
 channels; the tests and `catcodes verify` check both against brute force.
@@ -17,6 +18,7 @@ channels; the tests and `catcodes verify` check both against brute force.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +44,12 @@ class CatCodeSpec:
     basis: Basis = Basis.Z
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"cat code length m must be an integer, got {self.m!r}")
         if self.m < 1:
-            raise ValueError(f"cat code length must be >= 1, got {self.m}")
+            raise ValueError(f"cat code length m must be >= 1, got {self.m}")
+        if not isinstance(self.basis, Basis):
+            raise ValueError(f"cat code basis must be a Basis, got {self.basis!r}")
 
 
 @dataclass(frozen=True)
@@ -161,24 +167,21 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
     return PauliChannel(*(math.exp(j.logmag - total.logmag) for j in sc.joint))
 
 
-def cat_rates(chs, spec: CatCodeSpec) -> np.ndarray:
-    """Rates of the cat code on each channel of `chs`, evaluated as one batch.
-
-    Achievable rate in qubits per channel use, per Eq.-(5)-style conditional
-    coherent-information accounting over syndrome weight classes.
-    """
-    return _cat_rates(np.array([ch.probs for ch in chs]).reshape(-1, 4), spec)
-
-
 def _cat_rates(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
-    """`cat_rates` on the rows of a (P, 4) array of checked probabilities (`family_probs`)."""
+    """Rates (qubits per channel use) of the cat code on each row of a (P, 4)
+    array of checked probabilities (`family_probs`, or one `PauliChannel`),
+    evaluated as one batch.
+
+    Achievable rate per Eq.-(5)-style conditional coherent-information
+    accounting over syndrome weight classes.
+    """
     probs = probs[:, BASIS_SLOTS[spec.basis]]
     return _kernel.rate_sums(np.zeros((1, len(probs))), probs[None], spec.m) / spec.m
 
 
 def cat_rate(ch: PauliChannel, spec: CatCodeSpec) -> float:
     """Achievable rate (qubits per channel use) of the cat code on one channel."""
-    return float(cat_rates([ch], spec)[0])
+    return float(_cat_rates(np.array([ch.probs]), spec)[0])
 
 
 def logical_z_flip_prob(q_z: float, m: int) -> float:

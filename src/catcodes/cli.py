@@ -285,8 +285,8 @@ def cmd_threshold(args) -> int:
 def cmd_scan_m(args) -> int:
     chspec = parse_channel_spec(args.channel)
     code = parse_code_spec(args.code)
-    if isinstance(code, ConcatSpec):
-        raise SpecParseError("scan-m scans single-level cat codes; use cat:basis=...", args.code, 0)
+    if isinstance(code, ConcatSpec) or code.m != 1:
+        raise SpecParseError("scan-m takes lengths from --m-range; use cat:basis=...", args.code, 0)
     ms = _m_range(args.m_range)
     rows, best_m = best_length_scan(chspec.family, chspec.noise(), code.basis, ms)
     if args.json:
@@ -314,8 +314,8 @@ def _figure1_column(task) -> list[float]:
 def cmd_figure1(args) -> int:
     chspec = parse_channel_spec(args.channel)
     code = parse_code_spec(args.code)
-    if isinstance(code, ConcatSpec):
-        raise SpecParseError("figure1 uses single-level cat codes", args.code, 0)
+    if isinstance(code, ConcatSpec) or code.m != 1:
+        raise SpecParseError("figure1 takes lengths from --m-range; use cat:basis=...", args.code, 0)
     ms, ps = _m_range(args.m_range), _p_grid(args.p_grid)
     probs = family_probs(chspec.family, ps)  # a p outside [0, 1] exits 3 here
     columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), probs) for m in ms])

@@ -68,20 +68,16 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
                  for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))
 
 
-def concat_rates(chs, spec: ConcatSpec) -> np.ndarray:
+def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     """Rates (qubits per physical channel use) of the concatenated code on each
-    channel of `chs`, exact, evaluated as one batch.
+    row of a (P, 4) array of checked probabilities (`family_probs`, or one
+    `PauliChannel`), exact, evaluated as one batch.
 
     Enumerates compositions of the outer length over inner syndrome classes in
     lexicographic order with multinomial weights, then per-class flipped-block
     counts; no sampling is involved and the summation order is fixed, so the
     result is deterministic.
     """
-    return _concat_rates(np.array([ch.probs for ch in chs]).reshape(-1, 4), spec)
-
-
-def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
-    """`concat_rates` on the rows of a (P, 4) array of checked probabilities (`family_probs`)."""
     n, big_m = spec.inner.m, spec.outer.m
     for count, cap in ((math.comb(big_m + 2 * n - 1, 2 * n - 1), MAX_CELLS),
                        (math.comb(big_m + n - 1, n - 1), MAX_COMPOSITIONS)):
@@ -93,5 +89,5 @@ def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
 
 
 def concat_rate(ch: PauliChannel, spec: ConcatSpec) -> float:
-    """Rate (qubits per physical channel use) of the concatenated code, exact."""
-    return float(concat_rates([ch], spec)[0])
+    """Rate (qubits per physical channel use) of the concatenated code on one channel, exact."""
+    return float(_concat_rates(np.array([ch.probs]), spec)[0])

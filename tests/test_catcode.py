@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,3 +268,15 @@ class TestCatRate:
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
             CatCodeSpec(0)
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [((2.5,), "length m"), ((3.0,), "length m"), ((float("nan"),), "length m"),
+         ((3, "X"), "basis")],
+    )
+    def test_bad_field_rejected_when_built(self, args, field):
+        # Unchecked, these specs build and fail later: a float length deep in
+        # the rate kernel, a string basis at the basis-slot lookup.
+        with pytest.raises(ValueError, match=f"cat code {field} must be"):
+            CatCodeSpec(*args)
+        assert CatCodeSpec(np.int64(3)).m == 3

@@ -377,6 +377,25 @@ class TestCsvCommands:
         assert not out.exists()
         assert started == []
 
+    @pytest.mark.parametrize(
+        "command",
+        ["scan-m --channel depolarizing:p=0.19 --m-range 1:2",
+         "figure1 --channel depolarizing:p=0 --m-range 1:2 --p-grid 0.1"],
+    )
+    @pytest.mark.parametrize(
+        "code,status",
+        [("cat:m=7,basis=X", EXIT_PARSE), ("cat:m=5", EXIT_PARSE),
+         ("concat:inner=3Z,outer=3X", EXIT_PARSE),
+         ("cat:m=1,basis=Z", EXIT_OK), ("cat:basis=X", EXIT_OK), ("hashing", EXIT_OK)],
+    )
+    def test_code_length_other_than_one_exits_2(self, tmp_path, capsys, command, code, status):
+        # The lengths come from --m-range alone, so a length in --code is an error.
+        out = tmp_path / "out.csv"
+        assert main(command.split() + ["--code", code, "--out", str(out)]) == status
+        assert out.exists() == (status == EXIT_OK)
+        if status == EXIT_PARSE:
+            assert "--m-range" in capsys.readouterr().err
+
     def test_figure2_header_tol_reads_back_exactly(self, tmp_path):
         for tol, text in ((0.010000000000000002, "0.010000000000000002"), (1e-05, "1e-05")):
             out = tmp_path / "fig2.csv"

@@ -13,10 +13,9 @@ from catcodes import (
     CatCodeSpec,
     ConcatSpec,
     cat_rate,
-    cat_rates,
     code_rate,
     code_rates,
-    concat_rates,
+    concat_rate,
     evaluate_family,
     make_family,
     permute_basis,
@@ -94,6 +93,11 @@ def test_batch_equals_single_point_bit_for_bit(family, code):
     assert all(math.isfinite(v) for v in single)
     assert batch.tolist() == single
     assert code_rates(family, code, []).tolist() == []
+    # The channel path gives the family path's bits too; hashing is the 1-cat code.
+    spec = CatCodeSpec(1) if code is None else code
+    rate = concat_rate if isinstance(spec, ConcatSpec) else cat_rate
+    channel = [rate(evaluate_family(family, p), spec).hex() for p in BATCH]
+    assert channel == [x.hex() for x in batch.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -108,8 +112,8 @@ def test_batch_equals_single_point_bit_for_bit(family, code):
 def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
     batched = threshold(family, code, tol=1e-6)
 
-    def pointwise(family, code, ps, **kwargs):
-        return np.array([code_rate(family, code, p, **kwargs) for p in ps])
+    def pointwise(family, code, ps):
+        return np.array([code_rate(family, code, p) for p in ps])
 
     monkeypatch.setattr(search, "code_rates", pointwise)
     single = threshold(family, code, tol=1e-6)
@@ -128,17 +132,17 @@ def test_basis_by_slot_index_equals_relabelled_channels(basis, channels20):
     chs = channels20 + EDGE_CHANNELS
     relabelled = [permute_basis(ch, basis) for ch in chs]
 
-    def bits(rates):
-        return [x.hex() for x in rates.tolist()]
+    def bits(rate, chs, spec):
+        return [rate(ch, spec).hex() for ch in chs]
 
     for m in (1, 2, 5, 33):
-        want = cat_rates(relabelled, CatCodeSpec(m))
-        assert bits(cat_rates(chs, CatCodeSpec(m, basis))) == bits(want)
+        want = bits(cat_rate, relabelled, CatCodeSpec(m))
+        assert bits(cat_rate, chs, CatCodeSpec(m, basis)) == want
     for n, big_m in ((2, 3), (3, 5), (4, 1)):
         for outer in Basis:
-            got = concat_rates(chs, ConcatSpec(CatCodeSpec(n, basis), CatCodeSpec(big_m, outer)))
-            want = concat_rates(relabelled, ConcatSpec(CatCodeSpec(n), CatCodeSpec(big_m, outer)))
-            assert bits(got) == bits(want)
+            got = bits(concat_rate, chs, ConcatSpec(CatCodeSpec(n, basis), CatCodeSpec(big_m, outer)))
+            want = bits(concat_rate, relabelled, ConcatSpec(CatCodeSpec(n), CatCodeSpec(big_m, outer)))
+            assert got == want
 
 
 def _recursive_compositions(total, parts):

@@ -94,8 +94,7 @@ class TestThreshold:
     def test_no_bracket_when_rate_stays_positive(self, monkeypatch):
         # Pure dephasing: no pre-scan point is certified antidegradable, so
         # every point is evaluated (on depolarizing, p > 1/4 counts as <= 0).
-        monkeypatch.setattr(search, "code_rate", lambda *a, **k: 1.0)
-        monkeypatch.setattr(search, "code_rates", lambda family, code, ps, **k: [1.0] * len(ps))
+        monkeypatch.setattr(search, "code_rates", lambda family, code, ps: [1.0] * len(ps))
         with pytest.raises(NoBracketError):
             threshold(DEPHASING, CatCodeSpec(1), tol=1e-6)
 
