@@ -1,11 +1,12 @@
 """Achievable rates of cat codes and concatenated cat codes on Pauli channels,
 threshold searches, and channel degradability tests."""
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     Basis,
     ChannelFamily,
     InvalidDistributionError,
-    NOISELESS,
     NoSolutionError,
     PauliChannel,
     entropy4,
@@ -57,5 +58,6 @@ from .search import (
     threshold,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, not the submodules that importing them binds here.
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]
 __version__ = "0.1.0"

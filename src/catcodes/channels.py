@@ -69,9 +69,6 @@ class PauliChannel:
         return self.p_z + self.p_y
 
 
-NOISELESS = PauliChannel(1.0, 0.0, 0.0, 0.0)
-
-
 def entropy4(dist) -> float:
     """Shannon entropy in bits of a 4-outcome distribution, with 0 log 0 = 0."""
     vals = [_clamped(d, "probability") for d in dist]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -191,8 +192,9 @@ def format_code_spec(code: Union[CatCodeSpec, ConcatSpec]) -> str:
 
 
 def _lengths(text: str) -> list[int]:
-    """--inner, or --m-range without lo:hi: a comma list of lengths, each checked as cat:m= is."""
-    return [_length(part, col, text) for part, col in _parts(text)]
+    """--inner, or --m-range without lo:hi: a comma list of lengths, each checked as cat:m= is,
+    read as the distinct lengths in increasing order."""
+    return sorted({_length(part, col, text) for part, col in _parts(text)})
 
 
 def _m_range(text: str) -> list[int]:
@@ -247,6 +249,15 @@ def _map(args, fn, items):
         return list(pool.map(fn, items))  # ordered map keeps outputs canonical
 
 
+def _scan_basis(args) -> Basis:
+    """The basis of --code for a command that takes its lengths from --m-range."""
+    code = parse_code_spec(args.code)
+    if isinstance(code, ConcatSpec) or code.m != 1:
+        message = f"{args.command} takes lengths from --m-range; use cat:basis=..."
+        raise SpecParseError(message, args.code, 0)
+    return code.basis
+
+
 def cmd_rate(args) -> int:
     chspec = parse_channel_spec(args.channel)
     code = parse_code_spec(args.code)
@@ -284,11 +295,8 @@ def cmd_threshold(args) -> int:
 
 def cmd_scan_m(args) -> int:
     chspec = parse_channel_spec(args.channel)
-    code = parse_code_spec(args.code)
-    if isinstance(code, ConcatSpec) or code.m != 1:
-        raise SpecParseError("scan-m takes lengths from --m-range; use cat:basis=...", args.code, 0)
-    ms = _m_range(args.m_range)
-    rows, best_m = best_length_scan(chspec.family, chspec.noise(), code.basis, ms)
+    basis = _scan_basis(args)
+    rows, best_m = best_length_scan(chspec.family, chspec.noise(), basis, _m_range(args.m_range))
     if args.json:
         print(
             json.dumps(
@@ -300,55 +308,45 @@ def cmd_scan_m(args) -> int:
             )
         )
     else:
-        config = f"channel={chspec.canonical} | basis={code.basis.value} | m-range={args.m_range}"
+        config = f"channel={chspec.canonical} | basis={basis.value} | m-range={args.m_range}"
         _write_csv(args, "scan-m", config, ["m", "rate"], [(r.m, r.rate) for r in rows])
     return EXIT_OK
 
 
-def _figure1_column(task) -> list[float]:
-    """Rates of one cat code at every channel of the grid, evaluated as one batch."""
-    code, probs = task
-    return _cat_rates(probs, code).tolist()
-
-
 def cmd_figure1(args) -> int:
     chspec = parse_channel_spec(args.channel)
-    code = parse_code_spec(args.code)
-    if isinstance(code, ConcatSpec) or code.m != 1:
-        raise SpecParseError("figure1 takes lengths from --m-range; use cat:basis=...", args.code, 0)
+    basis = _scan_basis(args)
     ms, ps = _m_range(args.m_range), _p_grid(args.p_grid)
     probs = family_probs(chspec.family, ps)  # a p outside [0, 1] exits 3 here
-    columns = _map(args, _figure1_column, [(CatCodeSpec(m, code.basis), probs) for m in ms])
+    # One column per length: the cat code's rates at every channel of the grid, as one batch.
+    codes = [CatCodeSpec(m, basis) for m in ms]
+    columns = [col.tolist() for col in _map(args, functools.partial(_cat_rates, probs), codes)]
     rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
     config = (
-        f"channel={format_channel_spec(chspec.family, None)} | basis={code.basis.value}"
+        f"channel={format_channel_spec(chspec.family, None)} | basis={basis.value}"
         f" | m-range={args.m_range} | p-grid={args.p_grid}"
     )
     _write_csv(args, "figure1", config, ["p", "m", "rate"], rows)
     return EXIT_OK
 
 
-def _figure2_row(task) -> tuple:
-    label, outer_m, family, code, tol = task
-    return (outer_m, label, threshold(family, code, tol=tol).p_star)
-
-
 def cmd_figure2(args) -> int:
     family = parse_channel_spec(args.channel).family
     ms, inners = _m_range(args.m_range), _lengths(args.inner)
-    # Labels stay comma-free so the CSV needs no quoting: bare references
-    # use outer_m=0 with inner_spec "hashing" or "<m><basis>"; concatenated
-    # rows read "<inner>Z-in-<outer>X".
-    tasks = [
-        ("hashing", 0, family, CatCodeSpec(1), args.tol),
-        ("5Z", 0, family, CatCodeSpec(5), args.tol),
-        ("5Z-in-5X", 5, family, ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(5, Basis.X)), args.tol),
-    ]
+    # Row label -> (outer_m, code), so each distinct code is evaluated and written once.  Labels
+    # stay comma-free so the CSV needs no quoting: bare references use outer_m=0 with inner_spec
+    # "hashing" or "<m><basis>"; concatenated rows read "<inner>Z-in-<outer>X".
+    tasks = {
+        "hashing": (0, CatCodeSpec(1)),
+        "5Z": (0, CatCodeSpec(5)),
+        "5Z-in-5X": (5, ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(5, Basis.X))),
+    }
     for n in inners:
         for m in ms:
-            code = ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(m, Basis.X))
-            tasks.append((f"{n}Z-in-{m}X", m, family, code, args.tol))
-    rows = _map(args, _figure2_row, tasks)
+            tasks[f"{n}Z-in-{m}X"] = (m, ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(m, Basis.X)))
+    codes = [code for _, code in tasks.values()]
+    results = _map(args, functools.partial(threshold, family, tol=args.tol), codes)
+    rows = [(m, label, res.p_star) for (label, (m, _)), res in zip(tasks.items(), results)]
     config = (
         f"channel={format_channel_spec(family, None)} | inner={args.inner}"
         f" | m-range={args.m_range} | tol={_exact(args.tol)}"

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,13 @@ class TestSpecParsing:
         with pytest.raises(SpecParseError) as err:
             cli._m_range("1:100000000")
         assert err.value.column == 2
+
+    @pytest.mark.parametrize(
+        "text,lengths", [("3,1,3", [1, 3]), ("5,5", [5]), ("3,3,1,1,2", [1, 2, 3]), ("2,9", [2, 9])]
+    )
+    def test_length_lists_read_as_distinct_increasing_lengths(self, text, lengths):
+        # The rule search._scan applies to scan-m's lengths, for --inner and --m-range alike.
+        assert cli._lengths(text) == cli._m_range(text) == lengths
 
 
 SPEC_TOKENS = [
@@ -335,6 +343,65 @@ class TestCsvCommands:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_figure2_deterministic_across_jobs(self, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"fig2-{jobs}.csv"
+            argv = "figure2 --channel depolarizing:p=0 --inner 3 --m-range 2:3 --tol 1e-3 --jobs"
+            assert main(argv.split() + [jobs, "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv,float_columns",
+        [
+            ("figure1 --channel indep:ratio=9,p=0.2 --code cat:basis=Z --m-range 1,4 "
+             "--p-grid 0.2:0.3:3", {"p", "rate"}),
+            ("figure2 --channel depolarizing:p=0 --inner 3 --m-range 3 --tol 1e-3", {"threshold"}),
+            ("scan-m --channel depolarizing:p=0.189 --code cat:basis=Z --m-range 1:4", {"rate"}),
+        ],
+    )
+    def test_float_cells_are_plain_float_reprs(self, tmp_path, argv, float_columns):
+        # A numpy scalar would be written as np.float64(...), which no CSV reader takes.
+        out = tmp_path / "out.csv"
+        assert main(argv.split() + ["--out", str(out)]) == EXIT_OK
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        columns = [i for i, name in enumerate(header) if name in float_columns]
+        assert rows and len(columns) == len(float_columns)
+        for row in rows:
+            for i in columns:
+                assert repr(float(row[i])) == row[i]
+
+    def test_figure2_evaluates_and_writes_each_code_once(self, monkeypatch, tmp_path):
+        # --inner 5,5 --m-range 5,5 names only the 5-in-5 reference row again.
+        codes = []
+
+        def counting_threshold(family, code, tol):
+            codes.append(code)
+            return SimpleNamespace(p_star=0.25)
+
+        monkeypatch.setattr(cli, "threshold", counting_threshold)
+        out = tmp_path / "fig2.csv"
+        argv = "figure2 --channel depolarizing:p=0 --inner 5,5 --m-range 5,5 --jobs 1 --out"
+        assert main(argv.split() + [str(out)]) == EXIT_OK
+        labels = [line.split(",")[1] for line in out.read_text().splitlines()[2:]]
+        assert len(codes) == len(set(codes)) == 3
+        assert labels == ["hashing", "5Z", "5Z-in-5X"]
+
+    def test_figure1_evaluates_each_length_once_in_increasing_order(self, monkeypatch, tmp_path):
+        lengths, cat_rates = [], cli._cat_rates
+
+        def counting_cat_rates(probs, spec):
+            lengths.append(spec.m)
+            return cat_rates(probs, spec)
+
+        monkeypatch.setattr(cli, "_cat_rates", counting_cat_rates)
+        out = tmp_path / "fig1.csv"
+        argv = "figure1 --channel depolarizing:p=0 --code cat:basis=Z --m-range 3,1,3 --p-grid 0.1"
+        assert main(argv.split() + ["--jobs", "1", "--out", str(out)]) == EXIT_OK
+        assert lengths == [1, 3]
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[2:]] == ["1", "3"]
+
     @pytest.mark.parametrize("cores", [None, 64])
     def test_workers_capped_by_cores_and_tasks(self, monkeypatch, tmp_path, cores):
         # The stand-in maps in-process, so no real pool of any size starts.
@@ -405,7 +472,7 @@ class TestCsvCommands:
             assert header.endswith(f" | tol={text}")
             assert float(header.rpartition("tol=")[2]) == tol
 
-    def test_figure2_rows_and_ordering(self, tmp_path):
+    def test_figure2_labels_and_ordering(self, tmp_path):
         out = tmp_path / "fig2.csv"
         code = main(
             [

@@ -13,7 +13,6 @@ from catcodes import (
     ChannelMatrixRep,
     ConcatSpec,
     KrausSet,
-    NOISELESS,
     PauliChannel,
     antidegradable,
     cat_rate,
@@ -32,6 +31,7 @@ from catcodes.oracle import oracle_cat_rate
 from catcodes.search import PRE_SCAN_POINTS
 
 TWO_PAULI = make_family("two_pauli")
+IDENTITY = PauliChannel(1.0, 0.0, 0.0, 0.0)  # the noiseless channel
 
 # Environment relabeling between the complement's Kraus-index basis
 # (identity, X, Z for a two-Pauli channel) and the basis used by the
@@ -97,7 +97,7 @@ def env_reordered(matrix: np.ndarray) -> np.ndarray:
 
 class TestKrausFromPauli:
     def test_operator_counts(self):
-        assert len(kraus_from_pauli(NOISELESS).ops) == 1
+        assert len(kraus_from_pauli(IDENTITY).ops) == 1
         assert len(kraus_from_pauli(evaluate_family(TWO_PAULI, 0.2)).ops) == 3
         full = PauliChannel(0.25, 0.25, 0.25, 0.25)
         assert len(kraus_from_pauli(full).ops) == 4
@@ -130,7 +130,7 @@ class TestFromMatrices:
 
 class TestNaturalRep:
     def test_identity_channel_is_identity_matrix(self):
-        rep = natural_rep(kraus_from_pauli(NOISELESS))
+        rep = natural_rep(kraus_from_pauli(IDENTITY))
         np.testing.assert_allclose(rep.matrix, np.eye(4), atol=1e-15)
 
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.25, 0.5, 0.8])
@@ -161,7 +161,7 @@ class TestNaturalRep:
 
 class TestComplementary:
     def test_single_kraus_gives_constant_map(self):
-        comp = complementary(kraus_from_pauli(NOISELESS))
+        comp = complementary(kraus_from_pauli(IDENTITY))
         rng = np.random.default_rng(7)
         for _ in range(5):
             rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -189,7 +189,7 @@ class TestComplementary:
 
 class TestSolveDegrading:
     def test_identity_channel_returns_complement(self):
-        k = kraus_from_pauli(NOISELESS)
+        k = kraus_from_pauli(IDENTITY)
         n = natural_rep(k)
         nc = natural_rep(complementary(k))
         d, residual = solve_degrading(n, nc)
@@ -229,7 +229,7 @@ class TestSolveDegrading:
 
 class TestChoi:
     def test_identity_map_is_unnormalized_bell_projector(self):
-        choi = choi_of_map(natural_rep(kraus_from_pauli(NOISELESS)))
+        choi = choi_of_map(natural_rep(kraus_from_pauli(IDENTITY)))
         eigs = np.sort(np.linalg.eigvalsh(choi))
         np.testing.assert_allclose(eigs, [0, 0, 0, 2], atol=1e-12)
 
@@ -274,7 +274,7 @@ class TestVerdict:
         assert verdict.min_choi_eigenvalue >= -1e-8
 
     def test_noiseless_degradable(self):
-        assert degradability_verdict(kraus_from_pauli(NOISELESS)).status == "degradable"
+        assert degradability_verdict(kraus_from_pauli(IDENTITY)).status == "degradable"
 
     # Amplitude damping is degradable for gamma <= 1/2 and antidegradable,
     # so not degradable, above (Giovannetti & Fazio, PRA 71, 032314, 2005).
