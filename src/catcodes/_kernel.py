@@ -35,7 +35,6 @@ so only the first half of the cells is evaluated.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -48,14 +47,15 @@ CELL_BUDGET = 1 << 14
 
 
 def _compositions(total: int, parts: int):
-    """Compositions of `total` into `parts` counts >= 0, in lexicographic order: each one
-    moves a unit from the last nonzero count t > 0 to t - 1, and the rest to the end."""
+    """(first, composition) for the compositions of `total` into `parts` counts >= 0, in
+    lexicographic order, where `first` is the first count that differs from the previous
+    composition's (0 for the first one): each step moves a unit from the last nonzero
+    count t > 0 to t - 1, so t - 1 changes first, and the rest to the end."""
     comp, t = [0] * (parts - 1) + [total], parts - 1 if total else 0
-    while True:
-        yield tuple(comp)
-        if not t:
-            return
+    yield 0, tuple(comp)
+    while t:
         comp[t - 1], comp[t], comp[-1] = comp[t - 1] + 1, 0, comp[t] - 1
+        yield t - 1, tuple(comp)
         t = parts - 1 if comp[-1] else t - 1
 
 
@@ -156,8 +156,7 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
         # classes before t, rebuilt from the first count that differs from the previous
         # composition's.  Cells are in C order: the mirror of cell i is cells - 1 - i.
         prefix = [(None, math.lgamma(big_m + 1))] + [None] * n
-        for prev, comp in itertools.pairwise(itertools.chain([(-1,) * n], _compositions(big_m, n))):
-            first = next(t for t in range(n) if comp[t] != prev[t])
+        for first, comp in _compositions(big_m, n):
             for t, k in enumerate(comp[first:], first):
                 grid, log_scale = prefix[t]
                 if k:  # a count of 0 carries the prefix: 0 * log_w is NaN where w = 0

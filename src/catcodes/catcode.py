@@ -107,6 +107,8 @@ def joint_prob(ch: PauliChannel, m: int, u: int, v: int, r: int) -> SignedLog:
     with a = u(m-2r)+r and b = (1-u)(m-2r)+r; the second base pair may be
     negative, which integer exponents keep well defined.
     """
+    if (u, v) not in UV_ORDER:
+        raise ValueError(f"(u, v) = {(u, v)} is not one of {UV_ORDER}")
     if not 0 <= r <= m - 1:
         raise ValueError(f"syndrome weight r = {r} outside [0, {m - 1}]")
     return syndrome_classes(ch, m)[r].joint[UV_ORDER.index((u, v))]
@@ -121,6 +123,8 @@ def joint_prob_hetero(chs, u: int, v: int, syndrome) -> SignedLog:
     where a flipped qubit contributes (q_x, p_x - p_y) and an unflipped one
     (1-q_x, 1-q_x-2 p_z).
     """
+    if (u, v) not in UV_ORDER:
+        raise ValueError(f"(u, v) = {(u, v)} is not one of {UV_ORDER}")
     chs = list(chs)
     syndrome = list(syndrome)
     if len(syndrome) != len(chs) - 1:

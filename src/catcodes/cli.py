@@ -1,7 +1,8 @@
 """Command-line surface: rates, thresholds, scans, figure data, degradability.
 
 Commands: rate, threshold, scan-m, figure1, figure2, degradability, verify.
-Exit codes: 0 ok, 2 usage/parse error, 3 numeric-domain error, 4 resource cap.
+Exit codes: 0 ok, 1 failed verify check, 2 usage/parse error or an --out that
+cannot be opened, 3 numeric-domain error, 4 resource cap.
 CSV outputs start with a schema-version comment line echoing the full config,
 so every figure is reproducible from the file alone.
 """
@@ -14,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -231,11 +232,20 @@ def _jobs(text: str) -> int:
 def _write_csv(args, command: str, config: str, header: list[str], rows) -> None:
     """The schema line, the header and the rows, floats through repr, to --out or stdout."""
     to_file = args.out not in (None, "-")
-    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+    try:
+        sink = open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:  # here only: a BrokenPipeError from stdout is not a bad --out
+        raise SpecParseError(f"cannot open --out: {exc.strerror}", args.out, 0) from None
+    with sink as out:
         out.write(f"# {CSV_SCHEMA} | command={command} | {config}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _record(result) -> dict:
+    """A result dataclass's fields that are not None, in field order: its --json record."""
+    return {key: value for key, value in asdict(result).items() if value is not None}
 
 
 def _map(args, fn, items):
@@ -274,18 +284,8 @@ def cmd_threshold(args) -> int:
     code = parse_code_spec(args.code)
     res = threshold(chspec.family, code, tol=args.tol)
     if args.json:
-        rec = {
-            "p_star": res.p_star,
-            "bracket": list(res.bracket),
-            "evaluations": res.evaluations,
-            "skipped": res.skipped,
-            "batches": res.batches,
-            "channel": format_channel_spec(chspec.family, None),
-            "code": format_code_spec(code),
-        }
-        if res.warning:
-            rec["warning"] = res.warning
-        print(json.dumps(rec))
+        channel = format_channel_spec(chspec.family, None)
+        print(json.dumps({**_record(res), "channel": channel, "code": format_code_spec(code)}))
     else:
         print(f"{res.p_star:.12g}")
         if res.warning:
@@ -301,7 +301,7 @@ def cmd_scan_m(args) -> int:
         print(
             json.dumps(
                 {
-                    "rows": [{"m": r.m, "rate": r.rate} for r in rows],
+                    "rows": [_record(r) for r in rows],
                     "best_m": best_m,
                     "channel": chspec.canonical,
                 }

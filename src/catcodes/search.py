@@ -38,8 +38,6 @@ class ThresholdResult:
     evaluations: int  # noise points whose rate was computed
     skipped: int  # pre-scan points certified to have zero capacity, not evaluated
     batches: int  # `code_rates` calls
-    code: CodeSpec
-    family: ChannelFamily
     warning: Optional[str] = None
 
 
@@ -205,9 +203,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
                 hi = mid
             levels += 1
     skipped = PRE_SCAN_POINTS - len(scan)
-    return ThresholdResult(
-        0.5 * (lo + hi), (lo, hi), len(known), skipped, batches, code, family, warning
-    )
+    return ThresholdResult(0.5 * (lo + hi), (lo, hi), len(known), skipped, batches, warning)
 
 
 def _scan(m_range, value: Callable[[int], float]) -> tuple[list[tuple[int, float]], int]:

@@ -109,6 +109,15 @@ class TestJointProb:
             assert classes[2048].total().to_float() == 0.0  # underflows as a plain double
 
 
+@pytest.mark.parametrize("u,v", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_logical_labels_outside_uv_order_are_rejected(u, v):
+    ch = PauliChannel(0.7, 0.1, 0.1, 0.1)
+    with pytest.raises(ValueError, match=r"\(u, v\) = "):
+        joint_prob(ch, 3, u, v, 0)
+    with pytest.raises(ValueError, match=r"\(u, v\) = "):
+        joint_prob_hetero([ch] * 3, u, v, (0, 0))
+
+
 class TestHetero:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_reduces_to_homogeneous(self, m, channels20):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcodes import cli
+from catcodes import cli, search
 from catcodes.channels import _FAMILY_KINDS, evaluate_family, make_family
 from catcodes.cli import (
     EXIT_DOMAIN,
@@ -226,6 +226,21 @@ class TestExitCodes:
         )
         assert code == EXIT_RESOURCE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:3",
+            "figure1 --channel depolarizing:p=0 --code cat:m=1 --m-range 1:2 --p-grid 0.1 --jobs 1",
+            "figure2 --channel depolarizing:p=0 --inner 3 --m-range 2 --tol 1e-3 --jobs 1",
+        ],
+    )
+    def test_out_that_cannot_be_opened_is_a_parse_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert main(argv.split() + ["--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open --out") and str(out) in err
+        assert err.count("\n") == 1
+
     def test_oversized_cat_rejected(self, capsys):
         code = main(["rate", "--channel", "depolarizing:p=0.1", "--code", "cat:m=5000"])
         assert code == EXIT_PARSE
@@ -294,6 +309,33 @@ class TestThresholdCommand:
         assert record["skipped"] == 42
         assert record["batches"] == 2
         assert record["evaluations"] == 23 + 11
+        assert "warning" not in record
+
+    @staticmethod
+    def two_crossings(monkeypatch):
+        # Crosses zero downward at 0.1 and at 0.24, positive on (0.17, 0.24).
+        def rates(family, code, ps):
+            return [-(p - 0.1) * (p - 0.17) * (p - 0.24) for p in ps]
+
+        monkeypatch.setattr(search, "code_rates", rates)
+
+    def test_json_carries_the_warning(self, monkeypatch, capsys):
+        self.two_crossings(monkeypatch)
+        assert main(["threshold", "--channel", "depolarizing:p=0", "--code", "hashing", "--json"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert record["warning"] == "2 sign changes on the coarse grid; using the largest"
+        assert abs(record["p_star"] - 0.24) <= 1e-6
+        assert (record["channel"], record["code"]) == ("depolarizing", "cat:m=1,basis=Z")
+        assert err == ""
+
+    def test_text_prints_p_star_and_the_warning_on_stderr(self, monkeypatch, capsys):
+        self.two_crossings(monkeypatch)
+        assert main(["threshold", "--channel", "depolarizing:p=0", "--code", "hashing"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [out.strip()]
+        assert abs(float(out) - 0.24) <= 1e-6
+        assert err == "warning: 2 sign changes on the coarse grid; using the largest\n"
 
 
 class TestCsvCommands:
@@ -507,6 +549,13 @@ class TestDegradability:
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "not_degradable"
         assert record["min_choi_eigenvalue"] == pytest.approx(-0.125, abs=1e-9)
+
+    def test_unsolvable_degrading_equation_carries_a_note(self, capsys):
+        code = main(["degradability", "--channel", "pauli:px=0.25,py=0.25,pz=0.25", "--json"])
+        assert code == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "not_degradable"
+        assert record["note"] == "the degrading equation N D = N^C has no solution"
 
     def test_dephasing_plain(self, capsys):
         code = main(["degradability", "--channel", "pauli:px=0,py=0,pz=0.1"])

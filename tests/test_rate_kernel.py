@@ -158,11 +158,17 @@ def test_compositions_in_lexicographic_order():
     # The order fixes the summation order, and with it the last bits of a rate.
     for total in range(7):
         for parts in range(1, 6):
-            assert list(_compositions(total, parts)) == list(_recursive_compositions(total, parts))
+            firsts, comps = zip(*_compositions(total, parts))
+            assert list(comps) == list(_recursive_compositions(total, parts))
+            # Each composition names the first count that differs from the previous one.
+            prevs = [(-1,) * parts] + list(comps[:-1])
+            assert list(firsts) == [
+                next(t for t in range(parts) if comp[t] != prev[t]) for prev, comp in zip(prevs, comps)
+            ]
 
 
 def test_compositions_of_more_parts_than_the_recursion_limit():
-    units = list(_compositions(1, 1200))
+    units = [comp for _, comp in _compositions(1, 1200)]
     # Lexicographic: the unit in the last part comes first.
     assert units == [tuple(int(i == t) for i in range(1200)) for t in reversed(range(1200))]
 
@@ -174,7 +180,7 @@ def rebuilt_rate_sums(log_w, probs, big_m):
     n, points = log_w.shape
     classes = list(zip(*_kernel.factors(probs)))
     total = np.zeros(points)
-    for comp in _compositions(big_m, n):
+    for _, comp in _compositions(big_m, n):
         parts = []
         log_scale = np.full(points, math.lgamma(big_m + 1))
         for t, k in enumerate(comp):
