@@ -5,7 +5,7 @@ positive trace-preserving map D satisfies D(N(rho)) = N^C(rho).  In the
 matrix-unit basis this is the linear system N D = N^C; the solver finds the
 least-squares D and the verdict checks the residual together with positivity
 of D's Choi matrix.  A strictly negative Choi eigenvalue with a tiny residual
-certifies non-degradability when N is invertible (the solution is unique).
+certifies non-degradability only when N D = N^C has one solution.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _least_squares(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
 def solve_degrading(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
     """Least-squares degrading map D and the residual ||N D - N^C||_F.
 
-    When N is invertible the solution is unique and the residual is at
-    roundoff; a singular N yields one member of the affine solution family.
+    The solution is unique when N has full column rank; otherwise (N singular,
+    or wider than tall) it is one member of the affine solution family.
     """
     return _least_squares(n_rep, nc_rep)[:2]
 
@@ -174,33 +174,32 @@ def degradability_verdict(k: KrausSet) -> DegradabilityVerdict:
     """Solve for the degrading map and classify the channel.
 
     A tiny residual with a PSD Choi matrix certifies degradability (the
-    solved map is a witness even when N is singular).  A large residual is
-    also conclusive: least squares attains the global minimum of
+    solved map is a witness even when it is not the only solution).  A large
+    residual is also conclusive: least squares attains the global minimum of
     ||N D - N^C||, so a nonzero minimum means no map at all satisfies the
-    degrading equation.  Only a singular N with a solvable equation and a
-    non-PSD solved member is inconclusive, since other members of the
-    affine solution family were not examined.
+    degrading equation.  A non-PSD solved map is inconclusive unless N has
+    full, well-conditioned column rank, since other members of the affine
+    solution family were not examined.
     """
     n_rep = natural_rep(k)
     nc_rep = natural_rep(complementary(k))
     d_rep, residual, singular = _least_squares(n_rep, nc_rep)
     choi = choi_of_map(d_rep)
     min_eig = float(np.linalg.eigvalsh(choi)[0])
-    # cond(N) < CONDITION_LIMIT, without dividing by a zero singular value.
-    invertible = singular[0] < CONDITION_LIMIT * singular[-1]
-    solvable = residual <= RESIDUAL_TOL * max(
-        1.0, float(np.linalg.norm(nc_rep.matrix))
-    )
+    # One solution: full column rank (a wide N has fewer singular values than columns)
+    # and cond(N) < CONDITION_LIMIT, without dividing by a zero singular value.
+    unique = len(singular) == n_rep.matrix.shape[1] and singular[0] < CONDITION_LIMIT * singular[-1]
+    solvable = residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(nc_rep.matrix)))
     if solvable and min_eig >= PSD_TOL:
         status, note = "degradable", None
     elif not solvable:
         status = "not_degradable"
         note = "the degrading equation N D = N^C has no solution"
-    elif invertible:
+    elif unique:
         status, note = "not_degradable", None
     else:
         status = "inconclusive"
-        note = "N is singular; the least-squares map is one member of an affine family"
+        note = "N D = N^C has no unique solution; the least-squares map is one of an affine family"
     return DegradabilityVerdict(status, residual, min_eig, d_rep, note)
 
 

@@ -118,6 +118,27 @@ def test_logical_labels_outside_uv_order_are_rejected(u, v):
         joint_prob_hetero([ch] * 3, u, v, (0, 0))
 
 
+BAD_INPUTS = PauliChannel(0.7, 0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: joint_prob(BAD_INPUTS, 3, 0, 0, 3), r"syndrome weight r = 3 outside \[0, 2\]"),
+        (lambda: joint_prob(BAD_INPUTS, 3, 0, 0, -1), r"syndrome weight r = -1 outside"),
+        (lambda: joint_prob_hetero([BAD_INPUTS] * 3, 0, 0, (0,)), "expected 2 syndrome bits, got 1"),
+        (lambda: joint_prob_hetero([BAD_INPUTS] * 3, 0, 0, (0, 2)), "flip indicator 2 is not 0 or 1"),
+        (lambda: syndrome_classes(BAD_INPUTS, 0), "m must be >= 1, got 0"),
+        (lambda: logical_z_flip_prob(1.5, 3), r"q_z = 1.5 outside \[0, 1\]"),
+        (lambda: logical_z_flip_prob(-0.1, 3), r"q_z = -0.1 outside"),
+        (lambda: logical_z_flip_prob(0.1, 0), "m must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_arguments_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestHetero:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_reduces_to_homogeneous(self, m, channels20):

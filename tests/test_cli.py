@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -188,6 +191,38 @@ class TestRateCommand:
         assert record["rate"] == pytest.approx(0.0780719051, abs=1e-9)
 
 
+# (argv, column of the offending field) for each malformed value.
+MALFORMED = [
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid abc", 1),
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.2:0.3:x", 9),
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid=", 1),
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0:1:100000000", 5),
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.1:0.2:0", 9),
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.1:0.2:-5", 9),
+    ("figure1 --channel depolarizing:p=0 --code cat:m=1 --m-range 4:2", 3),
+    ("figure2 --channel depolarizing:p=0 --inner a", 1),
+    ("figure2 --channel depolarizing:p=0 --inner 3,0", 3),
+    ("scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4097", 1),
+    ("scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 0:3", 1),
+    ("scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4:2", 3),
+    ("rate --channel indep:ratio=-1,p=0.1 --code hashing", 7),
+    ("rate --channel indep:ratio=nan,p=0.1 --code hashing", 7),
+    ("rate --channel pauli:px=nan --code hashing", 7),
+    # A zero direction is no family: at p > 0 it has no channel.
+    ("threshold --channel pauli:px=0,py=0,pz=0 --code hashing", 7),
+    ("figure1 --channel pauli:px=0,py=0,pz=0 --code cat:m=1", 7),
+    ("rate --channel depolarizing:p=0.1,p=0.2 --code hashing", 20),
+    ("rate --channel depolarizing:p=0.1 --code cat:m=3,m=5", 9),
+    ("figure1 --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:2 --p-grid 0.1 "
+     "--jobs -5", 1),
+    # No noise level: rate reports the column just past the spec's end.
+    ("rate --channel depolarizing --code hashing", 13),
+    ("rate --channel depolarizing:p --code hashing", 14),
+    ("rate --channel depolarizing:p=0.1 --code cat:m=3,basis=W", 9),
+    ("rate --channel depolarizing:p=0.1 --code concat:inner=3,outer=5X", 8),
+]
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code = main(["rate", "--channel", "depolarzing:p=0.1", "--code", "hashing"])
@@ -245,35 +280,36 @@ class TestExitCodes:
         code = main(["rate", "--channel", "depolarizing:p=0.1", "--code", "cat:m=5000"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv,column", MALFORMED, ids=[argv for argv, _ in MALFORMED])
+    def test_malformed_value_is_a_parse_error_with_a_column(self, argv, column, capsys):
+        assert main(argv.split()) == EXIT_PARSE
+        assert f"(line 1, column {column})" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid abc",
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.2:0.3:x",
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid=",
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0:1:100000000",
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.1:0.2:0",
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --p-grid 0.1:0.2:-5",
-            "figure1 --channel depolarizing:p=0 --code cat:m=1 --m-range 4:2",
-            "figure2 --channel depolarizing:p=0 --inner a",
-            "figure2 --channel depolarizing:p=0 --inner 3,0",
-            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4097",
-            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 0:3",
-            "scan-m --channel depolarizing:p=0.1 --code cat:m=1 --m-range 4:2",
-            "rate --channel indep:ratio=-1,p=0.1 --code hashing",
-            "rate --channel indep:ratio=nan,p=0.1 --code hashing",
-            "rate --channel pauli:px=nan --code hashing",
-            # A zero direction is no family: at p > 0 it has no channel.
-            "threshold --channel pauli:px=0,py=0,pz=0 --code hashing",
-            "figure1 --channel pauli:px=0,py=0,pz=0 --code cat:m=1",
-            "rate --channel depolarizing:p=0.1,p=0.2 --code hashing",
-            "rate --channel depolarizing:p=0.1 --code cat:m=3,m=5",
-            "figure1 --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:2 --p-grid 0.1 --jobs -5",
+            "figure1 --channel indep:ratio=9,p=0.2 --code cat:m=1 --m-range 1:2 "
+            "--p-grid 0:0.3:4096 --jobs 1",  # 8,192 rows, far past the pipe buffer
+            "degradability --channel two-pauli:p=0.25 --json",  # one line, fails at the flush
         ],
     )
-    def test_malformed_value_is_a_parse_error_with_a_column(self, argv, capsys):
-        assert main(argv.split()) == EXIT_PARSE
-        assert "column" in capsys.readouterr().err
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_closed_early_exits_141_quietly(self, argv, unbuffered):
+        # Buffered, the one-line record fails only at main's flush; unbuffered, at its print.
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child writes, so even one short line fails
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            done = subprocess.run([sys.executable, "-m", "catcodes.cli", *argv.split()],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.EXIT_PIPE == 141
+        assert done.stderr == b""
 
 
 class TestThresholdCommand:
@@ -413,6 +449,13 @@ class TestCsvCommands:
         for row in rows:
             for i in columns:
                 assert repr(float(row[i])) == row[i]
+
+    def test_figure1_grid_of_one_point_is_its_start(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        argv = "figure1 --channel depolarizing:p=0 --code cat:m=1 --m-range 1:3 --p-grid 0.2:0.3:1"
+        assert main(argv.split() + ["--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [(p, m) for p, m, _ in rows] == [("0.2", "1"), ("0.2", "2"), ("0.2", "3")]
 
     def test_figure2_evaluates_and_writes_each_code_once(self, monkeypatch, tmp_path):
         # --inner 5,5 --m-range 5,5 names only the 5-in-5 reference row again.
@@ -569,6 +612,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_skewed_cat_rate_fails_its_three_checks(self, monkeypatch, capsys):
+        cat_rate = cli.cat_rate
+        monkeypatch.setattr(cli, "cat_rate", lambda ch, spec: cat_rate(ch, spec) + 1e-9)
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 8
+        failed = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
+        assert failed == [f"FAIL cat rate vs oracle, m={m}" for m in (2, 3, 4)]
+        assert captured.err == "3 check(s) failed\n"
 
 
 BASE_ARGS = {

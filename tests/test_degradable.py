@@ -27,6 +27,7 @@ from catcodes import (
     natural_rep,
     solve_degrading,
 )
+from catcodes.degradable import MalformedMapError
 from catcodes.oracle import oracle_cat_rate
 from catcodes.search import PRE_SCAN_POINTS
 
@@ -117,6 +118,11 @@ class TestFromMatrices:
     def test_mismatched_shapes_rejected(self, second):
         with pytest.raises(ValueError, match="must share one shape"):
             KrausSet.from_matrices([np.eye(2), second])
+
+    @pytest.mark.parametrize("ops", [np.eye(2), np.zeros((1, 1, 2, 2))])
+    def test_operators_that_are_not_a_stack_of_matrices_rejected(self, ops):
+        with pytest.raises(ValueError, match="must share one shape"):
+            KrausSet.from_matrices(ops)
 
     def test_not_trace_preserving_rejected(self):
         with pytest.raises(ValueError, match="not trace preserving"):
@@ -238,6 +244,10 @@ class TestChoi:
             choi = choi_of_map(natural_rep(kraus_from_pauli(ch)))
             assert np.linalg.eigvalsh(choi).min() >= -1e-10
 
+    def test_map_that_breaks_hermiticity_rejected(self):
+        with pytest.raises(MalformedMapError, match="not Hermiticity preserving"):
+            choi_of_map(ChannelMatrixRep(1j * np.eye(4), 2, 2))
+
     def test_two_pauli_quarter_subblock(self):
         k = kraus_from_pauli(evaluate_family(TWO_PAULI, 0.25))
         d, _ = solve_degrading(natural_rep(k), natural_rep(complementary(k)))
@@ -292,6 +302,34 @@ class TestVerdict:
         k = KrausSet.from_matrices([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
         assert np.linalg.matrix_rank(natural_rep(k).matrix) == 1
         assert degradability_verdict(k).status == "not_degradable"
+
+    def test_erasure_is_not_certified_not_degradable(self):
+        # Qubit erasure at eps <= 1/2 is degradable, but its N is 4 x 9: full row
+        # rank, so N D = N^C has an affine family of solutions, and the
+        # least-squares member is not PSD.
+        eps = 0.25
+        keep, erase = math.sqrt(1 - eps), math.sqrt(eps)
+        k = KrausSet.from_matrices(
+            [[[keep, 0], [0, keep], [0, 0]], [[0, 0], [0, 0], [erase, 0]], [[0, 0], [0, 0], [0, erase]]]
+        )
+        verdict = degradability_verdict(k)
+        assert verdict.residual <= 1e-12 and verdict.min_choi_eigenvalue < -1e-3
+        assert verdict.status == "inconclusive"
+        assert verdict.note.startswith("N D = N^C has no unique solution")
+        # A witness: reset the qubit to the environment's |0> with probability
+        # (1 - 2 eps) / (1 - eps), else shift it into slots 1 and 2; map the
+        # erasure flag |2> to |0>.
+        a = (1 - 2 * eps) / (1 - eps)
+        shift = np.zeros((3, 3))
+        shift[1, 0] = shift[2, 1] = math.sqrt(1 - a)
+        reset0, reset1, flag = np.zeros((3, 3, 3))
+        reset0[0, 0] = reset1[0, 1] = math.sqrt(a)
+        flag[0, 2] = 1.0
+        witness = natural_rep(KrausSet.from_matrices([reset0, reset1, shift, flag]))
+        n, nc = natural_rep(k), natural_rep(complementary(k))
+        assert n.matrix.shape == (4, 9)
+        assert np.linalg.norm(n.matrix @ witness.matrix - nc.matrix) <= 1e-12
+        assert np.linalg.eigvalsh(choi_of_map(witness)).min() >= -1e-12
 
     def test_record_is_json_serializable(self):
         import json

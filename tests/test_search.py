@@ -304,6 +304,10 @@ class TestBestLengthScan:
             hashing_rate(evaluate_family(DEPOL, 0.001)), abs=1e-14
         )
 
+    def test_empty_length_range_rejected(self):
+        with pytest.raises(ValueError, match="m_range is empty"):
+            best_length_scan(DEPOL, 0.1, Basis.Z, [])
+
     def test_moderate_depolarizing_noise_prefers_longer_code(self):
         _rows, best_m = best_length_scan(DEPOL, 0.189, Basis.Z, range(1, 9))
         assert best_m > 1
