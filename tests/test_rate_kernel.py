@@ -2,10 +2,13 @@
 and batch results equal to single-point results bit for bit."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catcodes.search as search
 from catcodes import (
@@ -23,7 +26,7 @@ from catcodes import (
 )
 from catcodes import _kernel
 from catcodes._kernel import _compositions
-from conftest import EDGE_CHANNELS
+from conftest import EDGE_CHANNELS, random_channels
 
 DEPOL = make_family("depolarizing")
 NINE_TO_ONE = make_family("independent_xz_ratio", {"ratio": 9.0})
@@ -199,14 +202,79 @@ def rebuilt_rate_sums(log_w, probs, big_m):
     return total
 
 
-@pytest.mark.parametrize("n,big_m", [(1, 5), (2, 3), (3, 5), (5, 5), (4, 1), (12, 2), (30, 2)])
+def hexes(values) -> list:
+    return [x.hex() for x in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "n,big_m", [(1, 5), (2, 3), (3, 5), (5, 5), (4, 1), (12, 2), (30, 2), (2, 9), (4, 7), (6, 3)]
+)
 def test_shared_prefixes_keep_the_summation_order(n, big_m, channels20):
-    # Reusing the cells a composition shares with the previous one must not
-    # reassociate a product or a log-scale sum.  The noiseless channel gives
-    # classes of probability 0: evaluated alone, their compositions are skipped,
-    # and their counts of 0 carry a prefix unchanged.
+    # Reusing the cells a composition shares with the previous one, and evaluating
+    # runs of compositions together, must not reassociate a product, a log-scale sum
+    # or a composition's sum.  The noiseless channel gives classes of probability 0:
+    # evaluated alone, their compositions add terms of 0, and their counts of 0
+    # carry a prefix unchanged.
     probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
     for batch in [probs] + [row[None] for row in probs[len(channels20):]]:
         log_w, cond = _kernel.inner_ensemble(batch, n)
-        want = [x.hex() for x in rebuilt_rate_sums(log_w, cond, big_m).tolist()]
-        assert [x.hex() for x in _kernel.rate_sums(log_w, cond, big_m).tolist()] == want
+        assert hexes(_kernel.rate_sums(log_w, cond, big_m)) == hexes(rebuilt_rate_sums(log_w, cond, big_m))
+
+
+def test_a_batch_over_the_cell_budget_splits_prefix_groups_into_runs(channels20, monkeypatch):
+    # 3-in-19 at 27 points holds far more than CELL_BUDGET points x cells, so the
+    # splits of one prefix fall into several runs; the bits must not notice.
+    probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
+    log_w, cond = _kernel.inner_ensemble(probs, 3)
+    runs = []
+    add_terms = _kernel._add_terms
+
+    def recorded(total, grid, count, run):
+        runs.append(run)
+        return add_terms(total, grid, count, run)
+
+    monkeypatch.setattr(_kernel, "_add_terms", recorded)
+    got = _kernel.rate_sums(log_w, cond, 19)
+    assert len(probs) * 42_504 > _kernel.CELL_BUDGET
+    # Some prefix (its log-scale array, shared by its splits) ends one run and starts the next.
+    assert any(a[-1][0] is b[0][0] for a, b in zip(runs, runs[1:]))
+    assert sum(map(len, runs)) == 210
+    assert hexes(got) == hexes(rebuilt_rate_sums(log_w, cond, 19))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), big_m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=20))
+def test_rate_sums_equal_the_per_composition_reference(n, big_m, seed, picks):
+    chs = EDGE_CHANNELS + random_channels(seed, 4)
+    log_w, cond = _kernel.inner_ensemble(np.array([chs[i].probs for i in picks]), n)
+    assert hexes(_kernel.rate_sums(log_w, cond, big_m)) == hexes(rebuilt_rate_sums(log_w, cond, big_m))
+
+
+PAPER_SCALE = [
+    (5, 16, 0.1905, "0x1.87da22536501cp-15"),
+    (3, 19, 0.19086, "-0x1.c576f6bb107dcp-24"),
+    (5, 5, 0.18, "0x1.9f9a487d4ab51p-9"),
+]
+
+
+@pytest.mark.parametrize("n,big_m,p,want", PAPER_SCALE)
+def test_paper_scale_depolarizing_rates_are_frozen(n, big_m, p, want):
+    spec = ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(big_m, Basis.X))
+    assert concat_rate(evaluate_family(DEPOL, p), spec).hex() == want
+
+
+def test_one_five_in_sixteen_point_keeps_its_memory_small():
+    # A run's arrays are bounded by CELL_BUDGET, not by the code: one point of
+    # 5-in-16 (4,845 compositions) must neither peak high nor leave anything behind.
+    spec = ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(16, Basis.X))
+    ch = evaluate_family(DEPOL, 0.1905)
+    concat_rate(ch, spec)
+    tracemalloc.start()
+    try:
+        concat_rate(ch, spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+    assert held <= 0.1e6
