@@ -31,26 +31,31 @@ per-cell multiplicity of syndromes with the first block unflipped,
 prod C(k_t, j_t) (M - |j|) / M, sums over a mirror pair to prod C(k_t, j_t),
 so only the first half of the cells is evaluated.
 
-Compositions are walked in lexicographic order as a prefix (classes 0..n-3),
-whose cells extend those it shares with the previous prefix, and a split of the
-remaining blocks between the last two classes.  A run of consecutive splits puts
-the cells of their first halves at the start of one buffer and their mirrors at
-its end, for one evaluation of their entropies; each composition's sum is one
-pairwise sum over its own cells, and the sums are added in order.
+Compositions are walked in lexicographic order.  The cells of classes 0..n-2
+extend those a composition shares with the previous one, and the last class's
+vector completes them into the composition's C-order cells, written side by side
+with those of the compositions before it into one reused buffer.  A run of
+compositions evaluates the entropies of their first halves and mirrors in one
+pass; each composition's sum is one pairwise sum over its own cells, and the sums
+are added in order.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
 TINY = np.finfo(float).tiny
-# Largest points x cells of a run of compositions evaluated together, counting a
-# composition's first-half rows and their mirrors; a larger composition is a run of
-# its own.  Its arrays stay under 128 KiB, below which malloc reuses heap memory
-# instead of mapping fresh pages, whose faults cost more than the arithmetic.
+# Largest points x cells of a run of compositions evaluated together; a larger
+# composition is a run of its own.  A run's arrays stay near 128 KiB, below which
+# malloc reuses heap memory instead of mapping fresh pages, whose faults cost more
+# than the arithmetic.
 CELL_BUDGET = 1 << 13
+# Largest points x cells of the largest composition at once: `rate_sums` evaluates
+# more points in slices, so one large composition does not hold a whole p-grid.
+SLICE_BUDGET = 1 << 20
 
 
 def _compositions(total: int, parts: int):
@@ -113,11 +118,11 @@ def _class_vectors(factors: tuple, log_w: np.ndarray, k: int) -> tuple[np.ndarra
     return out, k * log_w + s
 
 
-def _conditionals(grid: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint probabilities (4, P, count) of the first `count` cells, each paired
-    with its mirror, in slot order I, X, Y, Z, and the weights a0 + a1 (P, count)."""
-    a0, b0 = grid[:, :, :count]
-    a1, b1 = grid[:, :, ::-1][:, :, :count]
+def _conditionals(front: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint probabilities (4, P, count) of cells `front` (2, P, count), each paired
+    with its mirror, the same place of `mirror`, in slot order I, X, Y, Z, and the
+    weights a0 + a1 (P, count)."""
+    (a0, b0), (a1, b1) = front, mirror
     cond = np.empty((4,) + a0.shape)
     np.add(a0, b0, out=cond[0])
     np.add(a1, b1, out=cond[1])
@@ -126,11 +131,10 @@ def _conditionals(grid: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]
     return cond, a0 + a1
 
 
-def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts=0) -> np.ndarray:
-    """Sum of weight (1 - h) over all cells of a composition of `cells` cells whose
-    first half starts at `starts` in cond and weight, (P,): the sum over that half
-    with the middle cell, if any, counted once for its pair.  Tuples of `cells` and
-    `starts`, one entry per composition, give (len(cells), P)."""
+def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts) -> np.ndarray:
+    """Sums of weight (1 - h) over all cells of compositions of `cells` cells each
+    whose first halves start at `starts` in cond and weight, (len(cells), P): the sum
+    over a first half with its middle cell, if any, counted once for its pair."""
     scratch = np.maximum(weight, TINY)
     np.divide(0.5, scratch, out=scratch)
     cond *= scratch
@@ -141,26 +145,32 @@ def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts=0) -> np.ndarr
     g = np.add.reduce(cond, axis=0, out=scratch)  # ((c0 + c1) + c2) + c3
     g += 1.0
     g *= weight
-    several = isinstance(cells, tuple)
-    sums = np.empty((len(cells) if several else 1, len(g)))
-    for s, start, count in zip(sums, starts if several else (starts,), cells if several else (cells,)):
+    sums = np.empty((len(cells), len(g)))
+    for s, start, count in zip(sums, starts, cells):
         middle = start + count // 2
         np.add.reduce(g[:, start:middle], axis=1, out=s)  # one pairwise sum per composition
         if count % 2:
             s += 0.5 * g[:, middle]
-    return sums if several else sums[0]
+    return sums
 
 
-def _add_terms(total: np.ndarray, grid: np.ndarray, count: int, run: list) -> np.ndarray:
+def _joined(parts: list) -> np.ndarray:
+    """The arrays side by side along the last axis; a single one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _add_terms(total: np.ndarray, run: list) -> np.ndarray:
     """`total` plus, in order, the terms scale * sum of w (1 - h) of a run of
-    compositions whose first halves lie side by side in grid[..., :count] and their
-    mirrors in the same places counted from its end.  The run lists, per composition,
-    the log scales of its prefix and its last two counts, its cells and its start."""
-    *scales, cells, starts = zip(*run)
-    prefix_scale, a_scale, b_scale = np.array(scales)
-    log_scale = prefix_scale + a_scale
-    log_scale += b_scale
-    terms = np.exp(log_scale) * _half_sum(*_conditionals(grid, count), cells, starts)
+    compositions, given per composition as the log scales of its prefix and of its
+    last count and its C-order cells (2, P, cells), of which the mirror of cell i is
+    cells - 1 - i."""
+    prefix_scale, last_scale, grids = zip(*run)
+    cells = [grid.shape[-1] for grid in grids]
+    halves = [(count + 1) // 2 for count in cells]
+    front = _joined([grid[..., :h] for grid, h in zip(grids, halves)])
+    mirror = _joined([grid[..., :-h - 1:-1] for grid, h in zip(grids, halves)])
+    sums = _half_sum(*_conditionals(front, mirror), cells, accumulate(halves[:-1], initial=0))
+    terms = np.exp(np.add(prefix_scale, last_scale)) * sums
     terms[0] += total
     return np.add.accumulate(terms, axis=0)[-1]  # in order, as one += per composition
 
@@ -170,64 +180,53 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     log weights (n, P) and channels (n, P, 4) over M = big_m blocks: the rate
     times the number of physical qubits per logical qubit."""
     n, points = log_w.shape
+    q, r = divmod(big_m, n)
+    step = max(1, SLICE_BUDGET // ((q + 2) ** r * (q + 1) ** (n - r)))  # cells of the largest composition
+    if points > step:
+        return np.concatenate([rate_sums(log_w[:, i:i + step], probs[:, i:i + step], big_m)
+                               for i in range(0, points, step)])
     if not points:
         return np.zeros(0)
     classes = list(zip(*factors(probs)))  # six (P,) arrays per class
-    unit = np.ones((2, points, 1)), np.zeros(points)
+    unit, vectors = (np.ones((2, points, 1)), np.zeros(points)), {}
 
     def vector(t: int, k: int) -> tuple:
         """Class t's scaled vectors at count k and their log scale less lgamma(k + 1),
-        or the unit at k = 0 (a count of 0 carries a grid: 0 * log_w is NaN where w = 0)."""
+        built once, or the unit at k = 0 (a count of 0 carries a grid: 0 * log_w is
+        NaN where w = 0)."""
         if not k:
             return unit
-        vec, log_k = _class_vectors(classes[t], log_w[t], k)
-        return vec, log_k - math.lgamma(k + 1)
+        if (t, k) not in vectors:
+            vec, log_k = _class_vectors(classes[t], log_w[t], k)
+            vectors[t, k] = vec, log_k - math.lgamma(k + 1)
+        return vectors[t, k]
 
-    # The last two classes by count; a cat code's one composition is the split (0, M).
-    last_but_one = [vector(n - 2, a) for a in range(big_m + 1 if n > 1 else 1)]
-    last = {b: vector(n - 1, b) for b in (range(big_m + 1) if n > 1 else [big_m])}
-    head, vectors = max(n - 1, 1), {}  # the prefix classes 0..n-3, then the remainder
     # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of
     # the classes before t, rebuilt from the first count that differs from the previous
-    # composition's.  Cells are in C order: the mirror of cell i is cells - 1 - i.
-    prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (head - 1)
+    # composition's.
+    prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
     total, run, width, work = np.zeros(points), [], 0, np.empty((2, points, 0))
-    for first, comp in _compositions(big_m, head):
+    for first, comp in _compositions(big_m, n):
         for t, k in enumerate(comp[first:-1], first):
             grid, log_scale = prefix[t]
             if k:
-                vec, log_k = vectors[t, k] = vectors.get((t, k)) or vector(t, k)
+                vec, log_k = vector(t, k)
                 grid = (grid[..., None] * vec[:, :, None]).reshape(2, points, -1)
                 log_scale = log_scale + log_k
             prefix[t + 1] = grid, log_scale
-        grid, log_scale = prefix[head - 1]
-        rest = comp[-1]
-        for a, (vec, a_scale) in enumerate(last_but_one[:rest + 1]):
-            # The split (a, b) of the last rest blocks: its C-order cells are rows x
-            # (prefix cells times vec) each times last[b], row q mirroring row
-            # len(x) - 1 - q, so the first half is the first `rows` rows and half the
-            # middle row, if any, and its mirrors the same from the end.
-            x = (grid[..., None] * vec[:, :, None]).reshape(2, points, -1) if a else grid
-            b, (rows, odd) = rest - a, divmod(x.shape[-1], 2)
-            cells = (x.shape[-1] * (b + 1) + 1) // 2
-            if run and points * 2 * (width + cells) > CELL_BUDGET:
-                total, run, width = _add_terms(total, work, width, run), [], 0
-            if 2 * cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
-                work = np.empty((2, points, 2 * max(cells, CELL_BUDGET // (2 * points))))
-            vec, b_scale = last[b]
-            # First halves side by side from the start of work, their mirrors from its end.
-            end, full = work.shape[-1] - width, rows * (b + 1)
-            front, mirror = work[..., width:width + cells], work[..., end - cells:end]
-            if rows:
-                shape = (2, points, rows, b + 1)
-                np.multiply(x[..., :rows, None], vec[:, :, None], out=front[..., :full].reshape(shape))
-                np.multiply(x[..., -rows:, None], vec[:, :, None], out=mirror[..., cells - full:].reshape(shape))
-            if odd:
-                np.multiply(x[..., rows, None], vec[..., :cells - full], out=front[..., full:])
-                np.multiply(x[..., rows, None], vec[..., full - cells:], out=mirror[..., :cells - full])
-            run.append((log_scale, a_scale, b_scale, x.shape[-1] * (b + 1), width))
-            width += cells
-    return _add_terms(total, work, width, run)
+        grid, log_scale = prefix[-1]
+        vec, log_k = vector(n - 1, comp[-1])
+        cells = grid.shape[-1] * vec.shape[-1]
+        if run and points * (width + cells) > CELL_BUDGET:
+            total, run, width = _add_terms(total, run), [], 0
+        if cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
+            work = np.empty((2, points, max(cells, CELL_BUDGET // points)))
+        # The last class completes the composition's C-order cells, in place in work.
+        out = work[..., width:width + cells]
+        np.multiply(grid[..., None], vec[:, :, None], out=out.reshape(2, points, -1, vec.shape[-1]))
+        run.append((log_scale, log_k, out))
+        width += cells
+    return _add_terms(total, run)
 
 
 def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +235,7 @@ def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     probability 0, and conditional logical channels (n, P, 4) in slot order
     I, X, Y, Z (noiseless for a class of probability 0)."""
     vec, log_k = _class_vectors(factors(probs), np.zeros(len(probs)), n)
-    cond, weight = _conditionals(vec, n)
+    cond, weight = _conditionals(vec[..., :n], vec[..., :0:-1])
     zero = weight == 0.0
     cond /= 2.0 * np.where(zero, 1.0, weight)
     np.maximum(cond, 0.0, out=cond)

@@ -27,7 +27,7 @@ from .catcode import CatCodeSpec
 # 7-in-16 (67,863,915 cells); 5-in-30 has 211,915,132.
 MAX_CELLS = 100_000_000
 # Largest number of compositions C(M + n - 1, n - 1) of one rate evaluation: at about
-# 20 us each for one point (0.6-0.8 s for one point of 30-in-4's 40,920), 20 s.
+# 10-15 us each for one point (0.42-0.63 s for one point of 30-in-4's 40,920), 10-15 s.
 MAX_COMPOSITIONS = 1_000_000
 
 

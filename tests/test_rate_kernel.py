@@ -198,7 +198,9 @@ def rebuilt_rate_sums(log_w, probs, big_m):
         scale = np.exp(log_scale)
         if scale.any():
             cells = grid.shape[-1]
-            total += scale * _kernel._half_sum(*_kernel._conditionals(grid, (cells + 1) // 2), cells)
+            half = (cells + 1) // 2
+            cond = _kernel._conditionals(grid[..., :half], grid[..., :-half - 1:-1])
+            total += scale * _kernel._half_sum(*cond, [cells], [0])[0]
     return total
 
 
@@ -221,25 +223,41 @@ def test_shared_prefixes_keep_the_summation_order(n, big_m, channels20):
         assert hexes(_kernel.rate_sums(log_w, cond, big_m)) == hexes(rebuilt_rate_sums(log_w, cond, big_m))
 
 
-def test_a_batch_over_the_cell_budget_splits_prefix_groups_into_runs(channels20, monkeypatch):
-    # 3-in-19 at 27 points holds far more than CELL_BUDGET points x cells, so the
-    # splits of one prefix fall into several runs; the bits must not notice.
+def test_a_batch_over_the_cell_budget_is_evaluated_in_runs(channels20, monkeypatch):
+    # 3-in-19 at 27 points holds far more than CELL_BUDGET points x cells, so its
+    # compositions fall into several runs, some of one composition (read in place)
+    # and some of several (joined); the bits must not notice.
     probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
     log_w, cond = _kernel.inner_ensemble(probs, 3)
     runs = []
     add_terms = _kernel._add_terms
 
-    def recorded(total, grid, count, run):
-        runs.append(run)
-        return add_terms(total, grid, count, run)
+    def recorded(total, run):
+        runs.append(len(run))
+        return add_terms(total, run)
 
     monkeypatch.setattr(_kernel, "_add_terms", recorded)
     got = _kernel.rate_sums(log_w, cond, 19)
     assert len(probs) * 42_504 > _kernel.CELL_BUDGET
-    # Some prefix (its log-scale array, shared by its splits) ends one run and starts the next.
-    assert any(a[-1][0] is b[0][0] for a, b in zip(runs, runs[1:]))
-    assert sum(map(len, runs)) == 210
+    assert len(runs) > 1 and 1 in runs and max(runs) > 1
+    assert sum(runs) == 210
     assert hexes(got) == hexes(rebuilt_rate_sums(log_w, cond, 19))
+
+
+def test_a_large_p_grid_is_evaluated_in_slices_of_bounded_memory():
+    # One point of the 4096-cat is 4,097 cells, so 1,024 points exceed SLICE_BUDGET;
+    # slices must keep the peak small and give the bits of batches of 64 points.
+    ps = [0.3 * i / 1023 for i in range(1024)]
+    code = CatCodeSpec(4096, Basis.Z)
+    assert len(ps) * 4097 > _kernel.SLICE_BUDGET
+    tracemalloc.start()
+    try:
+        got = code_rates(DEPOL, code, ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128e6
+    assert hexes(got) == hexes(np.concatenate([code_rates(DEPOL, code, ps[i:i + 64]) for i in range(0, 1024, 64)]))
 
 
 @settings(max_examples=40, deadline=None)
