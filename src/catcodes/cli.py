@@ -30,12 +30,25 @@ from .channels import (
     make_family,
 )
 from .catcode import UV_ORDER, CatCodeSpec, _cat_rates, cat_rate
-from .concat import CompositionLimitError, ConcatSpec, concat_rate
+from .concat import CompositionLimitError, ConcatSpec, _counts, concat_rate
 from .degradable import degradability_verdict, kraus_from_pauli
 from .search import NoBracketError, best_length_scan, code_rate, threshold
 
 CSV_SCHEMA = "catcodes-csv v1"
 MAX_CAT_LENGTH = 4096
+
+# Serial seconds of the rate kernel per composition per batch (its Python loop) and per
+# cell per noise point (its numpy work), fitted to the serial times of 5-in-6..10
+# depolarizing thresholds and of 400- to 4096-cat batches of 21 to 1,000 points on a
+# 2-vCPU Xeon (Python 3.11, numpy 2.4): the estimates read 0.6-1.7x those times.
+COMPOSITION_S = 5e-6
+CELL_POINT_S = 65e-9
+# Estimated seconds a pool must save before `_map` starts one: what starting it costs.
+# Run as a subprocess on the same machine, figure1 on its default grid (about 10 ms of
+# work) took a median 44 ms longer at --jobs 2 than at --jobs 1 over 10 pairs, and the
+# small figure2 of the benchmark (about 50 ms, of which a second worker could save
+# 25 ms) 22 ms longer.
+POOL_LINE_S = 0.05
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -250,15 +263,31 @@ def _record(result) -> dict:
     return {key: value for key, value in asdict(result).items() if value is not None}
 
 
-def _map(args, fn, items):
+def _seconds(code, points: int, batches: int) -> float:
+    """Estimated serial seconds of `batches` rate evaluations of `code` over `points` noise
+    points in all, from its exact counts; a code over a cap raises here, before any rate."""
+    compositions, cells = _counts(code)
+    return COMPOSITION_S * compositions * batches + CELL_POINT_S * cells * points
+
+
+def _map(args, fn, items, seconds):
+    """[fn(item) for item in items], given each item's estimated serial seconds.
+
+    Serial unless a pool of min(--jobs, cores, items) workers is estimated to save at least
+    `POOL_LINE_S`: the total less the larger of the largest item and an even share.  The
+    pool takes the items largest first (R. L. Graham, SIAM J. Appl. Math. 17, 1969), so
+    no large item starts last, and the results come back in item order."""
     cores = os.cpu_count() or 1
     jobs = min(_jobs(args.jobs) or cores, cores, len(items))  # no more workers than cores or tasks
-    if jobs <= 1:
+    total = sum(seconds)
+    if jobs <= 1 or total - max(max(seconds), total / jobs) < POOL_LINE_S:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # local: only a pool needs multiprocessing
 
+    order = sorted(range(len(items)), key=lambda i: -seconds[i])  # stable: ties in item order
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))  # ordered map keeps outputs canonical
+        results = dict(zip(order, pool.map(fn, [items[i] for i in order])))
+    return [results[i] for i in range(len(items))]  # item order keeps outputs canonical
 
 
 def _scan_basis(args) -> Basis:
@@ -322,7 +351,9 @@ def cmd_figure1(args) -> int:
     probs = family_probs(chspec.family, ps)  # a p outside [0, 1] exits 3 here
     # One column per length: the cat code's rates at every channel of the grid, as one batch.
     codes = [CatCodeSpec(m, basis) for m in ms]
-    columns = [col.tolist() for col in _map(args, functools.partial(_cat_rates, probs), codes)]
+    seconds = [_seconds(code, len(ps), 1) for code in codes]
+    columns = _map(args, functools.partial(_cat_rates, probs), codes, seconds)
+    columns = [col.tolist() for col in columns]
     rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
     config = (
         f"channel={format_channel_spec(chspec.family, None)} | basis={basis.value}"
@@ -347,7 +378,10 @@ def cmd_figure2(args) -> int:
         for m in ms:
             tasks[f"{n}Z-in-{m}X"] = (m, ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(m, Basis.X)))
     codes = [code for _, code in tasks.values()]
-    results = _map(args, functools.partial(threshold, family, tol=args.tol), codes)
+    # Each code's caps are checked here, before the first threshold, which counts as a typical
+    # one: the default figure2's take 31-37 points in 3 batches.
+    seconds = [_seconds(code, 34, 3) for code in codes]
+    results = _map(args, functools.partial(threshold, family, tol=args.tol), codes, seconds)
     rows = [(m, label, res.p_star) for (label, (m, _)), res in zip(tasks.items(), results)]
     config = (
         f"channel={format_channel_spec(family, None)} | inner={args.inner}"
@@ -420,7 +454,8 @@ FLAGS = {
     "code": dict(required=True, help="code spec, e.g. cat:m=5,basis=Z"),
     "json": dict(action="store_true", help="emit a JSON record"),
     "out": dict(help="output file (default stdout)"),
-    "jobs": dict(default="0", help="parallel workers N >= 0 (0 = all cores; at most cores and tasks)"),
+    "jobs": dict(default="0", help="parallel workers N >= 0 (0 = all cores; at most cores and "
+                 "tasks); serial unless a pool is estimated to save its start-up cost"),
     "tol": dict(type=float, default=1e-6, help="threshold tolerance in p"),
 }
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -68,6 +69,19 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
                  for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))
 
 
+def _counts(code: Union[CatCodeSpec, ConcatSpec]) -> tuple[int, int]:
+    """Compositions C(M + n - 1, n - 1) and (composition, flip-count) cells
+    C(M + 2n - 1, 2n - 1) of one rate evaluation of a code of n classes over M blocks:
+    the inner code's n syndrome-weight classes over the outer length, or a cat code's
+    one class over its length.  Raises `CompositionLimitError` past a cap, cells first."""
+    n, big_m = (code.inner.m, code.outer.m) if isinstance(code, ConcatSpec) else (1, code.m)
+    compositions, cells = math.comb(big_m + n - 1, n - 1), math.comb(big_m + 2 * n - 1, 2 * n - 1)
+    for count, cap in ((cells, MAX_CELLS), (compositions, MAX_COMPOSITIONS)):
+        if count > cap:
+            raise CompositionLimitError(count, cap)
+    return compositions, cells
+
+
 def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     """Rates (qubits per physical channel use) of the concatenated code on each
     row of a (P, 4) array of checked probabilities (`family_probs`, or one
@@ -78,11 +92,8 @@ def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     counts; no sampling is involved and the summation order is fixed, so the
     result is deterministic.
     """
+    _counts(spec)  # checks the caps before any work
     n, big_m = spec.inner.m, spec.outer.m
-    for count, cap in ((math.comb(big_m + 2 * n - 1, 2 * n - 1), MAX_CELLS),
-                       (math.comb(big_m + n - 1, n - 1), MAX_COMPOSITIONS)):
-        if count > cap:
-            raise CompositionLimitError(count, cap)
     log_w, cond = _kernel.inner_ensemble(_inner_probs(probs, spec.inner), n)
     outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
     return _kernel.rate_sums(log_w, outer, big_m) / (n * big_m)

@@ -261,6 +261,17 @@ class TestExitCodes:
         )
         assert code == EXIT_RESOURCE
 
+    def test_figure2_checks_every_code_before_the_first_threshold(self, monkeypatch, tmp_path, capsys):
+        # 5-in-16 is admitted; 5-in-28 sums over C(37, 9) = 124,403,620 cells.
+        calls = []
+        monkeypatch.setattr(cli, "threshold", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "f2.csv"
+        argv = "figure2 --channel depolarizing:p=0 --inner 5 --m-range 16,28 --tol 1e-5 --jobs 1"
+        assert main(argv.split() + ["--out", str(out)]) == EXIT_RESOURCE
+        assert "124403620 (composition, flip-count) cells" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -396,7 +407,49 @@ class TestCsvCommands:
         assert lines[1] == "m,rate"
         assert len(lines) == 8
 
-    def test_figure1_deterministic_across_jobs(self, tmp_path, capsys):
+    @staticmethod
+    def forced_pool(monkeypatch) -> list:
+        """Make `_map` start a real two-worker pool for any work; returns each pool's size."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "POOL_LINE_S", 0.0)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @staticmethod
+    def in_process_pool(monkeypatch) -> list:
+        """Make `_map` take a pool for any work, and stand in for the pool with an in-process
+        map, so no real pool of any size starts; returns (size, items mapped) of each pool."""
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append((max_workers, []))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                pools[-1][1].extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "POOL_LINE_S", 0.0)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        return pools
+
+    def test_figure1_deterministic_across_jobs(self, monkeypatch, tmp_path, capsys):
+        sizes = self.forced_pool(monkeypatch)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"fig1-{jobs}.csv"
@@ -420,8 +473,10 @@ class TestCsvCommands:
             assert code == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+        assert sizes == [2]  # --jobs 2 ran on a real pool
 
-    def test_figure2_deterministic_across_jobs(self, tmp_path):
+    def test_figure2_deterministic_across_jobs(self, monkeypatch, tmp_path):
+        sizes = self.forced_pool(monkeypatch)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"fig2-{jobs}.csv"
@@ -429,6 +484,38 @@ class TestCsvCommands:
             assert main(argv.split() + [jobs, "--out", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("argv", [
+        # The benchmark's figure1, its default grid, and its small figure2.
+        "figure1 --channel indep:ratio=9,p=0.2 --code cat:m=1,basis=Z",
+        "figure2 --channel depolarizing:p=0 --inner 3 --m-range 2:8 --tol 1e-5",
+    ])
+    def test_small_work_starts_no_pool(self, monkeypatch, tmp_path, argv):
+        started = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda **kw: started.append(kw))
+        assert main(argv.split() + ["--jobs", "2", "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+        assert started == []
+
+    def test_pool_takes_the_largest_tasks_first_and_rows_keep_their_order(self, monkeypatch, tmp_path):
+        def fake_threshold(family, code, tol):  # a p_star that names the code
+            n, m = (code.inner.m, code.outer.m) if isinstance(code, cli.ConcatSpec) else (1, code.m)
+            return SimpleNamespace(p_star=n + m / 100)
+
+        pools = self.in_process_pool(monkeypatch)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "threshold", fake_threshold)
+        out = tmp_path / "fig2.csv"
+        argv = "figure2 --channel depolarizing:p=0 --inner 3 --m-range 2:3 --jobs 2 --out"
+        assert main(argv.split() + [str(out)]) == EXIT_OK
+        [(_, submitted)] = pools
+        # Cells 2,002 (5-in-5), 56 (3-in-3), 21 (3-in-2), 6 (5-cat) and 2 (hashing).
+        assert [fake_threshold(None, code, 0).p_star for code in submitted] == [
+            5.05, 3.03, 3.02, 1.05, 1.01]
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert rows == [["0", "hashing", "1.01"], ["0", "5Z", "1.05"], ["5", "5Z-in-5X", "5.05"],
+                        ["2", "3Z-in-2X", "3.02"], ["3", "3Z-in-3X", "3.03"]]
 
     @pytest.mark.parametrize(
         "argv,float_columns",
@@ -489,30 +576,13 @@ class TestCsvCommands:
 
     @pytest.mark.parametrize("cores", [None, 64])
     def test_workers_capped_by_cores_and_tasks(self, monkeypatch, tmp_path, cores):
-        # The stand-in maps in-process, so no real pool of any size starts.
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        pools = self.in_process_pool(monkeypatch)
         if cores:
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         argv = "figure1 --channel depolarizing:p=0.1 --code cat:m=1 --m-range 1:3 --p-grid 0.1"
         assert main(argv.split() + ["--jobs", "100000", "--out", str(tmp_path / "f.csv")]) == EXIT_OK
-        assert all(n <= min(3, cli.os.cpu_count()) for n in requested)
-        if cores:
-            assert requested == [3]
+        jobs = min(3, cli.os.cpu_count())
+        assert [size for size, _ in pools] == ([jobs] if jobs > 1 else [])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("p_grid", ["0.5,1.5", "1.5,2", "nan,0.2"])
