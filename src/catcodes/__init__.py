@@ -13,7 +13,6 @@ from .channels import (
     evaluate_family,
     hashing_rate,
     make_family,
-    permute_basis,
 )
 from .catcode import (
     CatCodeSpec,

@@ -19,11 +19,13 @@ Class arrays are (n, P, ...), so one call evaluates a whole p-grid: `rate_sums`
 takes the classes' log weights (n, P) and channels (n, P, 4), and `factors`
 derives their logs and signs.  Reductions run over the last, contiguous axis and
 all other operations are elementwise, so a point's rate does not depend on the
-batch it is evaluated in.  Per (class, k_t), the p-dependent vectors over j_t are
-built in log domain with log binomials from `math.lgamma` and scaled by their own
-maximum, so lengths in the thousands neither underflow nor overflow; a cell's
-products are then plain products of these vectors, taken in class order, and
-conditional probabilities are ratios of the cell's own four values.
+batch it is evaluated in.  Per class, the p-dependent vectors over j_t are built a
+range of counts k_t at a time (a small code's counts in one range), in log domain
+with log binomials from `math.lgamma` and scaled by their own maximum, so lengths
+in the thousands neither underflow nor overflow; their p-independent parts are
+cached per range of counts.  A cell's products are then plain products of these
+vectors, taken in class order, and conditional probabilities are ratios of the
+cell's own four values.
 
 Flipping every block maps cell j to its mirror k - j and swaps (a0, b0) with
 (a1, b1), which leaves the weight a0 + a1 and the entropy unchanged.  The
@@ -42,16 +44,17 @@ are added in order.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 
 import numpy as np
 
 TINY = np.finfo(float).tiny
-# Largest points x cells of a run of compositions evaluated together; a larger
-# composition is a run of its own.  A run's arrays stay near 128 KiB, below which
-# malloc reuses heap memory instead of mapping fresh pages, whose faults cost more
-# than the arithmetic.
+# Largest points x cells of a run of compositions evaluated together (a larger
+# composition is a run of its own), and of a range of counts of one class's vectors
+# (at the largest count).  Their arrays stay near 128 KiB, below which malloc reuses
+# heap memory instead of mapping fresh pages, whose faults cost more than the arithmetic.
 CELL_BUDGET = 1 << 13
 # Largest points x cells of the largest composition at once: `rate_sums` evaluates
 # more points in slices, so one large composition does not hold a whole p-grid.
@@ -71,11 +74,26 @@ def _compositions(total: int, parts: int):
         t = parts - 1 if comp[-1] else t - 1
 
 
-def _powers(log_x: np.ndarray, k: int) -> np.ndarray:
-    """j log x for j = 0..k over (..., k+1), with 0 at j = 0 even where x = 0."""
-    out = np.zeros(log_x.shape + (k + 1,))
-    np.multiply(log_x[..., None], np.arange(1, k + 1), out=out[..., 1:])
-    return out
+@functools.lru_cache(maxsize=64)
+def _cells(lo: int, hi: int) -> tuple:
+    """The p-independent parts of the flip-count vectors of counts k = lo..hi >= 1, whose
+    cells (k, j), j = 0..k, lie side by side, shared by every caller and read-only: per
+    cell, j and k - j as (2, 1, cells), where they are > 0, log C(k, j), and the signs of
+    b0 (4, cells) where neither, only bbar, only beta or both of beta and bbar are < 0;
+    per count as (counts, 1), k + 1, k and lgamma(k + 1); and each count's first cell."""
+    counts = np.arange(lo, hi + 1)
+    starts = np.cumsum(counts + 1) - (counts + 1)
+    k = np.repeat(counts, counts + 1)
+    j = np.arange(len(k)) - np.repeat(starts, counts + 1)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(hi + 1)])
+    log_c = log_fact[k] - (log_fact[j] + log_fact[k - j])  # exactly symmetric in j <-> k - j
+    sign_j, sign_k_less_j = np.where(np.array([j, k - j]) % 2, -1.0, 1.0)  # (-1)^j, (-1)^(k-j)
+    signs = np.array([np.ones(len(k)), sign_k_less_j, sign_j, sign_j * sign_k_less_j])
+    index = np.array([j, k - j], dtype=float)[:, None]
+    parts = index, index > 0, log_c, signs, counts + 1, counts[:, None], log_fact[counts, None]
+    for part in parts:
+        part.flags.writeable = False
+    return *parts, tuple(starts.tolist())
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -91,31 +109,30 @@ def factors(probs: np.ndarray) -> tuple:
             beta < 0.0, bbar < 0.0)
 
 
-def log_vectors(factors: tuple, log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled log a0 and log |b0| over flip counts j = 0..k of one class with `factors` at
-    P points, as (2, P, k+1) with log_c[j] added, and the sign of b0 (+1.0 or -1.0)."""
-    neg_b, neg_bbar = factors[4:]
-    k = len(log_c) - 1
-    powers = _powers(np.array(factors[:4]), k)  # alpha, abar, |beta|, |bbar|
-    log_ab0 = log_c + powers[0::2] + powers[1::2, :, ::-1]
-    alternating = np.ones(k + 1)
-    alternating[1::2] = -1.0  # (-1)^j; reversed, (-1)^(k-j)
-    sign_b0 = (np.where(neg_b[:, None], alternating, 1.0)
-               * np.where(neg_bbar[:, None], alternating[::-1], 1.0))
-    return log_ab0, sign_b0
+def log_vectors(factors: tuple, lo: int, hi: int, binomials: bool = True) -> tuple:
+    """Unscaled log a0 and log |b0| of one class with `factors` at P points over the cells
+    of `_cells(lo, hi)`, as (2, P, cells), with log C(k, j) added if `binomials`, and the
+    sign of b0 (+1.0 or -1.0), (P, cells)."""
+    index, positive, log_c, signs = _cells(lo, hi)[:4]
+    # alpha and |beta| to the j, abar and |bbar| to the k - j; 0 at 0 even where x = 0
+    log_x = np.array(factors[:4]).reshape(2, 2, -1, 1)
+    powers = np.multiply(log_x, index, out=np.zeros(log_x.shape[:3] + index.shape[-1:]), where=positive)
+    log_ab0 = powers[:, 0] + (log_c if binomials else 0.0) + powers[:, 1]
+    return log_ab0, signs[2 * factors[4] + factors[5]]
 
 
-def _class_vectors(factors: tuple, log_w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled (a0, b0) of one class of log weight log_w (P,) over flip counts j = 0..k, as
-    a (2, P, k+1) array with binomial C(k, j) included, and the log scale k log_w + s,
-    where s is the log of the largest C(k, j) a0(j) at each point."""
-    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
-    log_c = log_fact[k] - (log_fact + log_fact[::-1])  # exactly symmetric in j <-> k - j
-    log_ab0, sign_b0 = log_vectors(factors, log_c)
-    s = log_ab0[0].max(axis=1)
-    out = np.exp(log_ab0 - s[:, None])
+def _class_vectors(factors: tuple, log_w: np.ndarray, lo: int, hi: int, less_lgamma: bool = False) -> list:
+    """Per count k = lo..hi, the scaled (a0, b0) of one class of log weight log_w (P,) over
+    flip counts j = 0..k, a (2, P, k+1) view of one table over the cells of `_cells`, with
+    binomial C(k, j) included; and the log scale k log_w + s, less lgamma(k + 1) if
+    `less_lgamma`, where s is the log of the largest C(k, j) a0(j) at each point."""
+    sizes, counts, log_fact, starts = _cells(lo, hi)[4:]
+    log_ab0, sign_b0 = log_vectors(factors, lo, hi)
+    s = np.maximum.reduceat(log_ab0[0], starts, axis=1)
+    out = np.exp(log_ab0 - np.repeat(s, sizes, axis=1))
     out[1] *= sign_b0
-    return out, k * log_w + s
+    log_scales = counts * log_w + s.T - (log_fact if less_lgamma else 0.0)
+    return [(out[..., a:a + k + 1], log_k) for k, a, log_k in zip(range(lo, hi + 1), starts, log_scales)]
 
 
 def _conditionals(front: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,18 +205,21 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     if not points:
         return np.zeros(0)
     classes = list(zip(*factors(probs)))  # six (P,) arrays per class
-    unit, vectors = (np.ones((2, points, 1)), np.zeros(points)), {}
+    # A class's counts (a cat code's only M) are built in ranges of `span` when the walk first
+    # takes one; a small code's range holds them all, and a range stays within CELL_BUDGET.
+    lo, span = 1 if n > 1 else big_m, max(1, CELL_BUDGET // (points * (big_m + 1)))
+    unit = np.ones((2, points, 1)), np.zeros(points)
+    vectors = [{0: unit} for _ in classes]
 
     def vector(t: int, k: int) -> tuple:
-        """Class t's scaled vectors at count k and their log scale less lgamma(k + 1),
-        built once, or the unit at k = 0 (a count of 0 carries a grid: 0 * log_w is
-        NaN where w = 0)."""
-        if not k:
-            return unit
-        if (t, k) not in vectors:
-            vec, log_k = _class_vectors(classes[t], log_w[t], k)
-            vectors[t, k] = vec, log_k - math.lgamma(k + 1)
-        return vectors[t, k]
+        """Class t's scaled vectors at count k and their log scale less lgamma(k + 1), or
+        the unit at k = 0 (a count of 0 carries a grid: 0 * log_w is NaN where w = 0)."""
+        if k not in vectors[t]:
+            a = k - (k - lo) % span
+            b = min(a + span - 1, big_m)
+            built = _class_vectors(classes[t], log_w[t], a, b, less_lgamma=True)
+            vectors[t].update(zip(range(a, b + 1), built))
+        return vectors[t][k]
 
     # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of
     # the classes before t, rebuilt from the first count that differs from the previous
@@ -234,7 +254,7 @@ def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     given in the code's frame: log weights (n, P), with -inf for a class of
     probability 0, and conditional logical channels (n, P, 4) in slot order
     I, X, Y, Z (noiseless for a class of probability 0)."""
-    vec, log_k = _class_vectors(factors(probs), np.zeros(len(probs)), n)
+    [(vec, log_k)] = _class_vectors(factors(probs), np.zeros(len(probs)), n, n)
     cond, weight = _conditionals(vec[..., :n], vec[..., :0:-1])
     zero = weight == 0.0
     cond /= 2.0 * np.where(zero, 1.0, weight)

@@ -149,7 +149,7 @@ def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
         raise ValueError(f"m must be >= 1, got {m}")
     # Class r's four joints are (a0 +- b0) / 2 at flip count j = r and
     # (a1 +- b1) / 2 at its mirror m - r, per syndrome vector (no binomial).
-    log_ab, sign = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), np.zeros(m + 1))
+    log_ab, sign = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), m, m, binomials=False)
     (log_a, log_b), sign_b = log_ab[:, 0].tolist(), sign[0].tolist()
     classes = []
     multiplicity = 1  # C(m-1, r), updated exactly

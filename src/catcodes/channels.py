@@ -94,20 +94,11 @@ def hashing_rate(ch: PauliChannel) -> float:
     return 1.0 - entropy4(ch.probs)
 
 
-# Slot order (I, X, Y, Z) after the relabelling of permute_basis, per basis.
+# Per basis, the channel slots that a cat code in that basis reads as (I, X, Y, Z), so
+# that it reduces to the Z-basis formulas: the error whose flips the code detects goes
+# to the X slot.  Each is an involution: Z is the identity, X swaps p_x and p_z, and Y
+# swaps p_y and p_z while fixing p_x.
 BASIS_SLOTS = {Basis.Z: (0, 1, 2, 3), Basis.X: (0, 3, 2, 1), Basis.Y: (0, 1, 3, 2)}
-
-
-def permute_basis(ch: PauliChannel, basis: Basis) -> PauliChannel:
-    """Relabel error operators so a cat code in `basis` reduces to the Z-basis formulas.
-
-    The error whose flips the code detects is mapped into the X slot.  Each
-    permutation is an involution: Z is the identity, X swaps p_x and p_z,
-    and Y swaps p_y and p_z while fixing p_x.
-    """
-    if basis is Basis.Z:
-        return ch
-    return PauliChannel(*(ch.probs[i] for i in BASIS_SLOTS[basis]))
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,12 @@ def _record(result) -> dict:
     return {key: value for key, value in asdict(result).items() if value is not None}
 
 
+def _work(code) -> dict:
+    """The exact compositions and cells of one rate evaluation of `code`, for --json."""
+    compositions, cells = _counts(code)
+    return {"compositions": compositions, "cells": cells}
+
+
 def _seconds(code, points: int, batches: int) -> float:
     """Estimated serial seconds of `batches` rate evaluations of `code` over `points` noise
     points in all, from its exact counts; a code over a cap raises here, before any rate."""
@@ -304,7 +310,8 @@ def cmd_rate(args) -> int:
     code = parse_code_spec(args.code)
     value = code_rate(chspec.family, code, chspec.noise())
     if args.json:
-        print(json.dumps({"rate": value, "channel": chspec.canonical, "code": format_code_spec(code)}))
+        print(json.dumps({"rate": value, "channel": chspec.canonical, "code": format_code_spec(code),
+                          **_work(code)}))
     else:
         print(f"{value:.12g}")
     return EXIT_OK
@@ -316,7 +323,8 @@ def cmd_threshold(args) -> int:
     res = threshold(chspec.family, code, tol=args.tol)
     if args.json:
         channel = format_channel_spec(chspec.family, None)
-        print(json.dumps({**_record(res), "channel": channel, "code": format_code_spec(code)}))
+        print(json.dumps({**_record(res), "channel": channel, "code": format_code_spec(code),
+                          **_work(code)}))
     else:
         print(f"{res.p_star:.12g}")
         if res.warning:

@@ -190,6 +190,20 @@ class TestRateCommand:
         assert record["channel"] == "two-pauli:p=0.2"
         assert record["rate"] == pytest.approx(0.0780719051, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["rate", "threshold"])
+    def test_json_reports_the_work_of_one_evaluation(self, command, capsys):
+        # Compositions C(M + n - 1, n - 1) and cells C(M + 2n - 1, 2n - 1): 3-in-19 is
+        # n = 3 classes over M = 19 blocks, the 7-cat one class over 7.
+        for code, compositions, cells in (("concat:inner=3Z,outer=19X", 210, 42_504), ("cat:m=7", 1, 8)):
+            argv = [command, "--channel", "depolarizing:p=0.19", "--code", code]
+            assert main(argv) == EXIT_OK
+            text = capsys.readouterr().out
+            assert main(argv + ["--json"]) == EXIT_OK
+            record = json.loads(capsys.readouterr().out)
+            assert (record["compositions"], record["cells"]) == (compositions, cells)
+            value = record["rate" if command == "rate" else "p_star"]
+            assert text == f"{value:.12g}\n"  # plain output is the value alone, as before
+
 
 # (argv, column of the offending field) for each malformed value.
 MALFORMED = [

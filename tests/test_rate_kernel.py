@@ -21,10 +21,10 @@ from catcodes import (
     concat_rate,
     evaluate_family,
     make_family,
-    permute_basis,
     threshold,
 )
-from catcodes import _kernel
+from catcodes import PauliChannel, _kernel
+from catcodes.channels import BASIS_SLOTS
 from catcodes._kernel import _compositions
 from conftest import EDGE_CHANNELS, random_channels
 
@@ -130,10 +130,10 @@ def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
 
 @pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
 def test_basis_by_slot_index_equals_relabelled_channels(basis, channels20):
-    # The rates index the channel slots of `basis`; permute_basis relabels the
-    # channel objects instead.  Both must give the same bits.
+    # The rates index the channel slots of `basis`; relabelling the channel objects
+    # by the same slots and evaluating them in Z must give the same bits.
     chs = channels20 + EDGE_CHANNELS
-    relabelled = [permute_basis(ch, basis) for ch in chs]
+    relabelled = [PauliChannel(*(ch.probs[i] for i in BASIS_SLOTS[basis])) for ch in chs]
 
     def bits(rate, chs, spec):
         return [rate(ch, spec).hex() for ch in chs]
@@ -176,10 +176,31 @@ def test_compositions_of_more_parts_than_the_recursion_limit():
     assert units == [tuple(int(i == t) for i in range(1200)) for t in reversed(range(1200))]
 
 
+def reference_class_vectors(factors, log_w, k):
+    """One class's flip-count vectors at the single count k, built on their own as the
+    kernel once built each (class, count): scaled (a0, b0) over j = 0..k, (2, P, k+1),
+    with binomial C(k, j) included, and the log scale k log_w + s, where s is the log of
+    the largest C(k, j) a0(j) at each point."""
+    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
+    log_c = log_fact[k] - (log_fact + log_fact[::-1])
+    neg_b, neg_bbar = factors[4:]
+    powers = np.zeros((4, len(log_w), k + 1))  # j log x, 0 at j = 0: alpha, abar, |beta|, |bbar|
+    np.multiply(np.array(factors[:4])[..., None], np.arange(1, k + 1), out=powers[..., 1:])
+    log_ab0 = log_c + powers[0::2] + powers[1::2, :, ::-1]
+    alternating = np.ones(k + 1)
+    alternating[1::2] = -1.0  # (-1)^j; reversed, (-1)^(k-j)
+    sign_b0 = (np.where(neg_b[:, None], alternating, 1.0)
+               * np.where(neg_bbar[:, None], alternating[::-1], 1.0))
+    s = log_ab0[0].max(axis=1)
+    out = np.exp(log_ab0 - s[:, None])
+    out[1] *= sign_b0
+    return out, k * log_w + s
+
+
 def rebuilt_rate_sums(log_w, probs, big_m):
     """`_kernel.rate_sums` with every composition's cells formed from all of its
-    class vectors and its log scale summed from lgamma(M + 1), in one chunk (a
-    point's sum does not depend on its batch)."""
+    class vectors, each built on its own, and its log scale summed from lgamma(M + 1),
+    in one chunk (a point's sum does not depend on its batch)."""
     n, points = log_w.shape
     classes = list(zip(*_kernel.factors(probs)))
     total = np.zeros(points)
@@ -188,7 +209,7 @@ def rebuilt_rate_sums(log_w, probs, big_m):
         log_scale = np.full(points, math.lgamma(big_m + 1))
         for t, k in enumerate(comp):
             if k:
-                vec, log_k = _kernel._class_vectors(classes[t], log_w[t], k)
+                vec, log_k = reference_class_vectors(classes[t], log_w[t], k)
                 parts.append(vec)
                 log_scale += log_k - math.lgamma(k + 1)
         grid = parts[0]
@@ -269,6 +290,47 @@ def test_rate_sums_equal_the_per_composition_reference(n, big_m, seed, picks):
     assert hexes(_kernel.rate_sums(log_w, cond, big_m)) == hexes(rebuilt_rate_sums(log_w, cond, big_m))
 
 
+def float_bits(values: np.ndarray) -> np.ndarray:
+    """The bit patterns of float64 values, which float.hex spells out (no value is NaN)."""
+    assert not np.isnan(values).any()
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def edge_classes(probs: np.ndarray) -> list:
+    """(factors, log weight (P,)) of classes over the rows of probs (P, 4): the rows
+    themselves at random log weights, and the 3-cat code's syndrome classes on them."""
+    log_w, cond = _kernel.inner_ensemble(probs, 3)
+    weights = np.log(np.random.default_rng(len(probs)).uniform(0.01, 1.0, len(probs)))
+    return [(_kernel.factors(probs), weights)] + [(_kernel.factors(c), w) for w, c in zip(log_w, cond)]
+
+
+@pytest.mark.parametrize("points", [1, 17])
+def test_class_tables_equal_the_per_count_reference(points):
+    # A class's table, built over a range of counts in one pass, holds per count the bits
+    # of that count's vectors and log scale built on their own, less lgamma(k + 1) where
+    # the walk takes it.  Ranges: 1..M, their upper halves and single counts for every
+    # M <= 40, and the 4096-cat's one count.  The inputs cover zero probabilities,
+    # beta < 0, bbar < 0 and a class of weight 0 (log weight -inf).
+    probs = np.array([ch.probs for ch in random_channels(20261019, 10) + EDGE_CHANNELS])
+    # A point's bits do not depend on its batch, so one point at a time takes fewer rows.
+    batches = [probs] if points == len(probs) else [row[None] for row in probs[::2]]
+    classes = [c for batch in batches for c in edge_classes(batch)]
+    assert any(f[4].any() for f, _ in classes) and any(f[5].any() for f, _ in classes)
+    assert any(np.isneginf(w).any() for _, w in classes)
+    ranges = [(lo, hi) for hi in range(1, 41) for lo in sorted({1, hi // 2 + 1, hi})] + [(4096, 4096)]
+    for f, log_w in classes:
+        want = {k: reference_class_vectors(f, log_w, k) for k in list(range(1, 41)) + [4096]}
+        for lo, hi in ranges:
+            counts = range(lo, hi + 1)
+            want_vecs = np.concatenate([want[k][0] for k in counts], axis=-1)
+            for less_lgamma in (False, True):
+                norms = [math.lgamma(k + 1) if less_lgamma else 0.0 for k in counts]
+                vecs, log_ks = zip(*_kernel._class_vectors(f, log_w, lo, hi, less_lgamma))
+                assert np.array_equal(float_bits(np.concatenate(vecs, axis=-1)), float_bits(want_vecs))
+                want_log_ks = [want[k][1] - norm for k, norm in zip(counts, norms)]
+                assert np.array_equal(float_bits(np.array(log_ks)), float_bits(np.array(want_log_ks)))
+
+
 PAPER_SCALE = [
     (5, 16, 0.1905, "0x1.87da22536501cp-15"),
     (3, 19, 0.19086, "-0x1.c576f6bb107dcp-24"),
@@ -296,3 +358,20 @@ def test_one_five_in_sixteen_point_keeps_its_memory_small():
         tracemalloc.stop()
     assert peak <= 1.5e6
     assert held <= 0.1e6
+
+
+def test_two_in_two_hundred_keeps_its_memory_small():
+    # The class tables are built in ranges of counts as the walk first takes them, so
+    # they add little to what the walk holds: 2-in-200 at 8 points peaked at 7.88 MB
+    # when each (class, count) was built on its own, and one table per class built up
+    # front peaked at 9.94 MB.  The bound is 7.88 MB plus 10 %.
+    spec = ConcatSpec(CatCodeSpec(2, Basis.Z), CatCodeSpec(200, Basis.X))
+    ps = [0.12 + 0.01 * i for i in range(8)]
+    code_rates(DEPOL, spec, ps)
+    tracemalloc.start()
+    try:
+        code_rates(DEPOL, spec, ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.88e6 * 1.1
