@@ -21,11 +21,12 @@ derives their logs and signs.  Reductions run over the last, contiguous axis and
 all other operations are elementwise, so a point's rate does not depend on the
 batch it is evaluated in.  Per class, the p-dependent vectors over j_t are built a
 range of counts k_t at a time (a small code's counts in one range), in log domain
-with log binomials from `math.lgamma` and scaled by their own maximum, so lengths
-in the thousands neither underflow nor overflow; their p-independent parts are
-cached per range of counts.  A cell's products are then plain products of these
-vectors, taken in class order, and conditional probabilities are ratios of the
-cell's own four values.
+with log binomials from `math.lgamma`, their p-independent parts cached per range.
+The builder divides each count's vector by its maximum, so lengths in the thousands
+neither underflow nor overflow, and returns the log s of that maximum; each caller
+adds its own scale terms (`rate_sums`: k_t log w_t + s - lgamma(k_t + 1)).  A cell's
+products are then plain products of these vectors, taken in class order, and
+conditional probabilities are ratios of the cell's own four values.
 
 Flipping every block maps cell j to its mirror k - j and swaps (a0, b0) with
 (a1, b1), which leaves the weight a0 + a1 and the entropy unchanged.  The
@@ -59,6 +60,32 @@ CELL_BUDGET = 1 << 13
 # Largest points x cells of the largest composition at once: `rate_sums` evaluates
 # more points in slices, so one large composition does not hold a whole p-grid.
 SLICE_BUDGET = 1 << 20
+# Largest number of (composition, flip-count) cells one rate evaluation sums
+# over: the work, which grows as C(M + 2n - 1, 2n - 1) for n-in-M.  Admits
+# 7-in-16 (67,863,915 cells); 5-in-30 has 211,915,132.
+MAX_CELLS = 100_000_000
+# Largest number of compositions C(M + n - 1, n - 1) of one rate evaluation: at about
+# 10-15 us each for one point (0.42-0.63 s for one point of 30-in-4's 40,920), 10-15 s.
+MAX_COMPOSITIONS = 1_000_000
+
+
+class CompositionLimitError(RuntimeError):
+    """The grouped enumeration exceeds `MAX_CELLS` cells or `MAX_COMPOSITIONS` compositions."""
+
+    def __init__(self, count: int, cap: int):
+        what = "compositions" if cap == MAX_COMPOSITIONS else "(composition, flip-count) cells"
+        super().__init__(f"{count} {what} exceed the cap of {cap}")
+        self.count, self.cap = count, cap
+
+
+def capped_counts(n: int, big_m: int) -> tuple[int, int]:
+    """Compositions C(M + n - 1, n - 1) and cells C(M + 2n - 1, 2n - 1) of one rate evaluation
+    of n classes over M = big_m blocks; raises `CompositionLimitError` past a cap, cells first."""
+    compositions, cells = math.comb(big_m + n - 1, n - 1), math.comb(big_m + 2 * n - 1, 2 * n - 1)
+    for count, cap in ((cells, MAX_CELLS), (compositions, MAX_COMPOSITIONS)):
+        if count > cap:
+            raise CompositionLimitError(count, cap)
+    return compositions, cells
 
 
 def _compositions(total: int, parts: int):
@@ -109,30 +136,29 @@ def factors(probs: np.ndarray) -> tuple:
             beta < 0.0, bbar < 0.0)
 
 
-def log_vectors(factors: tuple, lo: int, hi: int, binomials: bool = True) -> tuple:
-    """Unscaled log a0 and log |b0| of one class with `factors` at P points over the cells
-    of `_cells(lo, hi)`, as (2, P, cells), with log C(k, j) added if `binomials`, and the
-    sign of b0 (+1.0 or -1.0), (P, cells)."""
-    index, positive, log_c, signs = _cells(lo, hi)[:4]
+def log_vectors(factors: tuple, lo: int, hi: int) -> tuple:
+    """The unscaled log a0 and log |b0| of one class with `factors` at P points over the
+    cells of `_cells(lo, hi)` as two terms, each (2, P, cells): j log alpha and j log |beta|,
+    and (k - j) log abar and (k - j) log |bbar|; and the sign of b0 (+1.0 or -1.0), (P, cells)."""
+    index, positive, _, signs = _cells(lo, hi)[:4]
     # alpha and |beta| to the j, abar and |bbar| to the k - j; 0 at 0 even where x = 0
     log_x = np.array(factors[:4]).reshape(2, 2, -1, 1)
     powers = np.multiply(log_x, index, out=np.zeros(log_x.shape[:3] + index.shape[-1:]), where=positive)
-    log_ab0 = powers[:, 0] + (log_c if binomials else 0.0) + powers[:, 1]
-    return log_ab0, signs[2 * factors[4] + factors[5]]
+    return powers[:, 0], powers[:, 1], signs[2 * factors[4] + factors[5]]
 
 
-def _class_vectors(factors: tuple, log_w: np.ndarray, lo: int, hi: int, less_lgamma: bool = False) -> list:
-    """Per count k = lo..hi, the scaled (a0, b0) of one class of log weight log_w (P,) over
-    flip counts j = 0..k, a (2, P, k+1) view of one table over the cells of `_cells`, with
-    binomial C(k, j) included; and the log scale k log_w + s, less lgamma(k + 1) if
-    `less_lgamma`, where s is the log of the largest C(k, j) a0(j) at each point."""
-    sizes, counts, log_fact, starts = _cells(lo, hi)[4:]
-    log_ab0, sign_b0 = log_vectors(factors, lo, hi)
+def _class_vectors(factors: tuple, lo: int, hi: int) -> tuple:
+    """Per count k = lo..hi, the (a0, b0) of one class with `factors` at P points over flip
+    counts j = 0..k, binomial C(k, j) included, divided by their largest C(k, j) a0(j): a
+    (2, P, k+1) view of one table over the cells of `_cells`; and the logs s of those
+    largest values, (P, counts)."""
+    _, _, log_c, _, sizes, _, _, starts = _cells(lo, hi)
+    j_term, k_less_j_term, sign_b0 = log_vectors(factors, lo, hi)
+    log_ab0 = j_term + log_c + k_less_j_term
     s = np.maximum.reduceat(log_ab0[0], starts, axis=1)
     out = np.exp(log_ab0 - np.repeat(s, sizes, axis=1))
     out[1] *= sign_b0
-    log_scales = counts * log_w + s.T - (log_fact if less_lgamma else 0.0)
-    return [(out[..., a:a + k + 1], log_k) for k, a, log_k in zip(range(lo, hi + 1), starts, log_scales)]
+    return [out[..., a:a + k + 1] for k, a in zip(range(lo, hi + 1), starts)], s
 
 
 def _conditionals(front: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +219,11 @@ def _add_terms(total: np.ndarray, run: list) -> np.ndarray:
 
 
 def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
-    """Sum of w (1 - h) over all cells at each of the P points, for n classes of
-    log weights (n, P) and channels (n, P, 4) over M = big_m blocks: the rate
-    times the number of physical qubits per logical qubit."""
+    """Sum of w (1 - h) over all cells at each of the P points, for n classes of log weights
+    (n, P) and channels (n, P, 4) over M = big_m blocks: the rate times the number of physical
+    qubits per logical qubit.  A code over a cap raises at once (`capped_counts`)."""
     n, points = log_w.shape
+    capped_counts(n, big_m)
     q, r = divmod(big_m, n)
     step = max(1, SLICE_BUDGET // ((q + 2) ** r * (q + 1) ** (n - r)))  # cells of the largest composition
     if points > step:
@@ -217,8 +244,9 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
         if k not in vectors[t]:
             a = k - (k - lo) % span
             b = min(a + span - 1, big_m)
-            built = _class_vectors(classes[t], log_w[t], a, b, less_lgamma=True)
-            vectors[t].update(zip(range(a, b + 1), built))
+            views, s = _class_vectors(classes[t], a, b)
+            counts, log_fact = _cells(a, b)[5:7]
+            vectors[t].update(zip(range(a, b + 1), zip(views, counts * log_w[t] + s.T - log_fact)))
         return vectors[t][k]
 
     # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of
@@ -254,12 +282,12 @@ def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     given in the code's frame: log weights (n, P), with -inf for a class of
     probability 0, and conditional logical channels (n, P, 4) in slot order
     I, X, Y, Z (noiseless for a class of probability 0)."""
-    [(vec, log_k)] = _class_vectors(factors(probs), np.zeros(len(probs)), n, n)
+    [vec], s = _class_vectors(factors(probs), n, n)
     cond, weight = _conditionals(vec[..., :n], vec[..., :0:-1])
     zero = weight == 0.0
     cond /= 2.0 * np.where(zero, 1.0, weight)
     np.maximum(cond, 0.0, out=cond)
     cond[:, zero] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
     # A class's weight is C(n-1, r) (A0 + A1) = C(n, r) (A0 + A1) (n - r) / n.
-    log_w = log_k[:, None] + _log(weight) + np.log((n - np.arange(n)) / n)
+    log_w = s + _log(weight) + np.log((n - np.arange(n)) / n)
     return log_w.T, cond.T

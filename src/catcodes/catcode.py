@@ -6,13 +6,14 @@ syndrome vector depends only on the syndrome's Hamming weight r, so all
 quantities are computed over the m weight classes instead of the 2^(m-1)
 syndrome vectors.
 
-Everything here comes from the shared numpy kernel (`_kernel`).  `_cat_rates`
-is its one-class rate sum over the rows of a (P, 4) probability array, and
-`cat_rate` that sum on one channel.  `syndrome_classes`, `joint_prob` and
-`induced_channel` read the class probabilities from the kernel's unscaled
-log-domain vectors over flip counts (`_kernel.log_vectors`), and
-`joint_prob_hetero` forms the same two products for position-dependent
-channels; the tests and `catcodes verify` check both against brute force.
+Everything here comes from the shared numpy kernel (`_kernel`).  `_cat_rates` is
+its one-class rate sum over the rows of a (P, 4) probability array in the code's
+frame (`_frame`, the one slot rule of cat, inner and outer codes), and `cat_rate`
+that sum on one channel.  `syndrome_classes`, `joint_prob` and `induced_channel`
+read the class probabilities from the sum of the kernel's unscaled log-domain terms
+over flip counts (`_kernel.log_vectors`), and `joint_prob_hetero` forms the same
+two products for position-dependent channels; the tests and `catcodes verify`
+check both against brute force.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
         raise ValueError(f"m must be >= 1, got {m}")
     # Class r's four joints are (a0 +- b0) / 2 at flip count j = r and
     # (a1 +- b1) / 2 at its mirror m - r, per syndrome vector (no binomial).
-    log_ab, sign = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), m, m, binomials=False)
-    (log_a, log_b), sign_b = log_ab[:, 0].tolist(), sign[0].tolist()
+    j_term, k_less_j_term, sign = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), m, m)
+    (log_a, log_b), sign_b = (j_term + k_less_j_term)[:, 0].tolist(), sign[0].tolist()
     classes = []
     multiplicity = 1  # C(m-1, r), updated exactly
     for r in range(m):
@@ -171,6 +172,12 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
     return PauliChannel(*(math.exp(j.logmag - total.logmag) for j in sc.joint))
 
 
+def _frame(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
+    """Channels (..., 4) in the frame of the code `spec`, their slots read by `BASIS_SLOTS`; a
+    length-1 code has no stabilizers, so its frame is the physical one in any basis."""
+    return probs[..., BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
+
+
 def _cat_rates(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
     """Rates (qubits per channel use) of the cat code on each row of a (P, 4)
     array of checked probabilities (`family_probs`, or one `PauliChannel`),
@@ -179,8 +186,7 @@ def _cat_rates(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
     Achievable rate per Eq.-(5)-style conditional coherent-information
     accounting over syndrome weight classes.
     """
-    probs = probs[:, BASIS_SLOTS[spec.basis]]
-    return _kernel.rate_sums(np.zeros((1, len(probs))), probs[None], spec.m) / spec.m
+    return _kernel.rate_sums(np.zeros((1, len(probs))), _frame(probs, spec)[None], spec.m) / spec.m
 
 
 def cat_rate(ch: PauliChannel, spec: CatCodeSpec) -> float:

@@ -20,26 +20,9 @@ from typing import Union
 import numpy as np
 
 from . import _kernel
-from .channels import BASIS_SLOTS, PauliChannel
-from .catcode import CatCodeSpec
-
-# Largest number of (composition, flip-count) cells one rate evaluation sums
-# over: the work, which grows as C(M + 2n - 1, 2n - 1) for n-in-M.  Admits
-# 7-in-16 (67,863,915 cells); 5-in-30 has 211,915,132.
-MAX_CELLS = 100_000_000
-# Largest number of compositions C(M + n - 1, n - 1) of one rate evaluation: at about
-# 10-15 us each for one point (0.42-0.63 s for one point of 30-in-4's 40,920), 10-15 s.
-MAX_COMPOSITIONS = 1_000_000
-
-
-class CompositionLimitError(RuntimeError):
-    """The grouped enumeration exceeds `MAX_CELLS` cells or `MAX_COMPOSITIONS` compositions."""
-
-    def __init__(self, count: int, cap: int):
-        what = "compositions" if cap == MAX_COMPOSITIONS else "(composition, flip-count) cells"
-        super().__init__(f"{count} {what} exceed the cap of {cap}")
-        self.count = count
-        self.cap = cap
+from ._kernel import MAX_CELLS, MAX_COMPOSITIONS, CompositionLimitError  # noqa: F401 (names kept public here)
+from .catcode import CatCodeSpec, _frame
+from .channels import PauliChannel
 
 
 @dataclass(frozen=True)
@@ -50,13 +33,6 @@ class ConcatSpec:
     outer: CatCodeSpec
 
 
-def _inner_probs(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
-    # A length-1 code has no stabilizers; its logical frame is the physical one,
-    # so the basis label is ignored and the degenerate reduction returns the
-    # input channel unchanged.
-    return probs[:, BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
-
-
 def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, PauliChannel], ...]:
     """(weight, logical channel conditioned on a weight-r syndrome) of the cat
     code for r = 0..m-1.  Logical X maps to the X slot, so an outer code may be
@@ -64,22 +40,16 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
     with weight 0 and a noiseless placeholder channel; a weight of 0 alone does
     not mark such a class, since exp of a finite log weight below about -745
     underflows to 0 too."""
-    log_w, cond = _kernel.inner_ensemble(_inner_probs(np.array([ch.probs]), spec), spec.m)
+    log_w, cond = _kernel.inner_ensemble(_frame(np.array([ch.probs]), spec), spec.m)
     return tuple((math.exp(lw), PauliChannel(*c))
                  for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))
 
 
 def _counts(code: Union[CatCodeSpec, ConcatSpec]) -> tuple[int, int]:
-    """Compositions C(M + n - 1, n - 1) and (composition, flip-count) cells
-    C(M + 2n - 1, 2n - 1) of one rate evaluation of a code of n classes over M blocks:
-    the inner code's n syndrome-weight classes over the outer length, or a cat code's
-    one class over its length.  Raises `CompositionLimitError` past a cap, cells first."""
+    """`_kernel.capped_counts` of one rate evaluation of `code`: the inner code's n
+    syndrome-weight classes over the outer length, or a cat code's one class over its length."""
     n, big_m = (code.inner.m, code.outer.m) if isinstance(code, ConcatSpec) else (1, code.m)
-    compositions, cells = math.comb(big_m + n - 1, n - 1), math.comb(big_m + 2 * n - 1, 2 * n - 1)
-    for count, cap in ((cells, MAX_CELLS), (compositions, MAX_COMPOSITIONS)):
-        if count > cap:
-            raise CompositionLimitError(count, cap)
-    return compositions, cells
+    return _kernel.capped_counts(n, big_m)
 
 
 def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
@@ -92,11 +62,10 @@ def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     counts; no sampling is involved and the summation order is fixed, so the
     result is deterministic.
     """
-    _counts(spec)  # checks the caps before any work
+    _counts(spec)  # checks the caps before the inner ensemble is built
     n, big_m = spec.inner.m, spec.outer.m
-    log_w, cond = _kernel.inner_ensemble(_inner_probs(probs, spec.inner), n)
-    outer = cond[..., BASIS_SLOTS[spec.outer.basis]]
-    return _kernel.rate_sums(log_w, outer, big_m) / (n * big_m)
+    log_w, cond = _kernel.inner_ensemble(_frame(probs, spec.inner), n)
+    return _kernel.rate_sums(log_w, _frame(cond, spec.outer), big_m) / (n * big_m)
 
 
 def concat_rate(ch: PauliChannel, spec: ConcatSpec) -> float:

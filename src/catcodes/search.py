@@ -50,23 +50,18 @@ class ScanRow:
     threshold: Optional[float] = None
 
 
-def _rates(probs: np.ndarray, code: CodeSpec) -> np.ndarray:
-    """Rates of `code` on each channel of the (P, 4) `probs`, as one batch; None is hashing."""
+def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
+    """Rates of `code` (None: hashing, the rate of the 1-cat code) at every p of `ps`, as one
+    batch on their (P, 4) `family_probs`; each equals, bit for bit, the rate at that p alone."""
+    probs = family_probs(family, ps)
     if isinstance(code, ConcatSpec):
         return _concat_rates(probs, code)
     return _cat_rates(probs, CatCodeSpec(1) if code is None else code)
 
 
 def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
-    """Rate of `code` on the family's channel at noise p; code=None means
-    hashing, the rate of the 1-cat code."""
-    return float(_rates(family_probs(family, [p]), code)[0])
-
-
-def code_rates(family: ChannelFamily, code: CodeSpec, ps) -> np.ndarray:
-    """`code_rate` at every p of `ps`, evaluated as one batch on their (P, 4)
-    `family_probs`; each value equals, bit for bit, the rate at that p alone."""
-    return _rates(family_probs(family, ps), code)
+    """`code_rates` at the one noise level p."""
+    return float(code_rates(family, code, [p])[0])
 
 
 @functools.lru_cache(maxsize=64)

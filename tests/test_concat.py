@@ -14,6 +14,7 @@ from catcodes import (
     induced_ensemble,
     make_family,
 )
+from catcodes import _kernel, code_rates
 from catcodes.concat import MAX_CELLS, MAX_COMPOSITIONS
 from catcodes.oracle import (
     enumerate_joint,
@@ -161,3 +162,17 @@ class TestConcatRate:
         with pytest.raises(CompositionLimitError, match="^12525171 compositions ") as err:
             concat_rate(DEPOL_19, spec)
         assert err.value.count == 12_525_171 > MAX_COMPOSITIONS == err.value.cap
+
+    def test_cat_codes_are_capped_too(self, monkeypatch):
+        # Every rate passes the caps in the kernel's rate sum, where a cat code is one class
+        # over its length, m + 1 cells.  A cap of 40 cells stands in for 10^8, so a code
+        # over it is refused before anything is built and nothing large is allocated.
+        monkeypatch.setattr(_kernel, "MAX_CELLS", 40)
+        for rates in (lambda spec: cat_rate(DEPOL_19, spec),
+                      lambda spec: code_rates(make_family("depolarizing"), spec, [0.1, 0.2])):
+            with pytest.raises(CompositionLimitError, match="^41 ") as err:
+                rates(CatCodeSpec(40, Basis.X))
+            assert (err.value.count, err.value.cap) == (41, 40)
+            rates(CatCodeSpec(39))
+        with pytest.raises(CompositionLimitError, match="^42 "):  # 21-in-1: C(42, 41) cells
+            concat_rate(DEPOL_19, ConcatSpec(CatCodeSpec(21), CatCodeSpec(1)))

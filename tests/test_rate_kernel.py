@@ -114,9 +114,10 @@ def test_batch_equals_single_point_bit_for_bit(family, code):
 )
 def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
     batched = threshold(family, code, tol=1e-6)
+    rates = search.code_rates  # the stub must not call code_rate, which goes through it
 
     def pointwise(family, code, ps):
-        return np.array([code_rate(family, code, p) for p in ps])
+        return np.concatenate([rates(family, code, [p]) for p in ps])
 
     monkeypatch.setattr(search, "code_rates", pointwise)
     single = threshold(family, code, tol=1e-6)
@@ -131,7 +132,9 @@ def test_threshold_same_as_point_by_point_prescan(family, code, monkeypatch):
 @pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
 def test_basis_by_slot_index_equals_relabelled_channels(basis, channels20):
     # The rates index the channel slots of `basis`; relabelling the channel objects
-    # by the same slots and evaluating them in Z must give the same bits.
+    # by the same slots and evaluating them in Z must give the same bits.  A length-1
+    # code has no stabilizers and reads the physical frame in any basis, so at m = 1
+    # the channels are not relabelled.
     chs = channels20 + EDGE_CHANNELS
     relabelled = [PauliChannel(*(ch.probs[i] for i in BASIS_SLOTS[basis])) for ch in chs]
 
@@ -139,13 +142,25 @@ def test_basis_by_slot_index_equals_relabelled_channels(basis, channels20):
         return [rate(ch, spec).hex() for ch in chs]
 
     for m in (1, 2, 5, 33):
-        want = bits(cat_rate, relabelled, CatCodeSpec(m))
+        want = bits(cat_rate, chs if m == 1 else relabelled, CatCodeSpec(m))
         assert bits(cat_rate, chs, CatCodeSpec(m, basis)) == want
     for n, big_m in ((2, 3), (3, 5), (4, 1)):
         for outer in Basis:
             got = bits(concat_rate, chs, ConcatSpec(CatCodeSpec(n, basis), CatCodeSpec(big_m, outer)))
             want = bits(concat_rate, relabelled, ConcatSpec(CatCodeSpec(n), CatCodeSpec(big_m, outer)))
             assert got == want
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_a_length_one_code_is_the_same_code_in_every_basis(basis):
+    # Hashing is the 1-cat code; its basis labels no stabilizer, so every basis gives
+    # the Z bits, as a cat code and as an outer code.
+    chs = random_channels(20261019, 20) + EDGE_CHANNELS
+    for ch in chs:
+        assert cat_rate(ch, CatCodeSpec(1, basis)).hex() == cat_rate(ch, CatCodeSpec(1)).hex()
+        for inner in (CatCodeSpec(2), CatCodeSpec(3, Basis.X), CatCodeSpec(5, Basis.Y)):
+            got = concat_rate(ch, ConcatSpec(inner, CatCodeSpec(1, basis)))
+            assert got.hex() == concat_rate(ch, ConcatSpec(inner, CatCodeSpec(1))).hex()
 
 
 def _recursive_compositions(total, parts):
@@ -176,15 +191,15 @@ def test_compositions_of_more_parts_than_the_recursion_limit():
     assert units == [tuple(int(i == t) for i in range(1200)) for t in reversed(range(1200))]
 
 
-def reference_class_vectors(factors, log_w, k):
+def reference_class_vectors(factors, k):
     """One class's flip-count vectors at the single count k, built on their own as the
     kernel once built each (class, count): scaled (a0, b0) over j = 0..k, (2, P, k+1),
-    with binomial C(k, j) included, and the log scale k log_w + s, where s is the log of
-    the largest C(k, j) a0(j) at each point."""
+    with binomial C(k, j) included, and the log s of the largest C(k, j) a0(j) at each
+    point, (P,)."""
     log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
     log_c = log_fact[k] - (log_fact + log_fact[::-1])
     neg_b, neg_bbar = factors[4:]
-    powers = np.zeros((4, len(log_w), k + 1))  # j log x, 0 at j = 0: alpha, abar, |beta|, |bbar|
+    powers = np.zeros((4, len(neg_b), k + 1))  # j log x, 0 at j = 0: alpha, abar, |beta|, |bbar|
     np.multiply(np.array(factors[:4])[..., None], np.arange(1, k + 1), out=powers[..., 1:])
     log_ab0 = log_c + powers[0::2] + powers[1::2, :, ::-1]
     alternating = np.ones(k + 1)
@@ -194,7 +209,7 @@ def reference_class_vectors(factors, log_w, k):
     s = log_ab0[0].max(axis=1)
     out = np.exp(log_ab0 - s[:, None])
     out[1] *= sign_b0
-    return out, k * log_w + s
+    return out, s
 
 
 def rebuilt_rate_sums(log_w, probs, big_m):
@@ -209,9 +224,9 @@ def rebuilt_rate_sums(log_w, probs, big_m):
         log_scale = np.full(points, math.lgamma(big_m + 1))
         for t, k in enumerate(comp):
             if k:
-                vec, log_k = reference_class_vectors(classes[t], log_w[t], k)
+                vec, s = reference_class_vectors(classes[t], k)
                 parts.append(vec)
-                log_scale += log_k - math.lgamma(k + 1)
+                log_scale += k * log_w[t] + s - math.lgamma(k + 1)
         grid = parts[0]
         for i, vec in enumerate(parts[1:], 1):
             grid = grid[..., None] * vec.reshape(vec.shape[:2] + (1,) * i + vec.shape[2:])
@@ -297,38 +312,32 @@ def float_bits(values: np.ndarray) -> np.ndarray:
 
 
 def edge_classes(probs: np.ndarray) -> list:
-    """(factors, log weight (P,)) of classes over the rows of probs (P, 4): the rows
-    themselves at random log weights, and the 3-cat code's syndrome classes on them."""
-    log_w, cond = _kernel.inner_ensemble(probs, 3)
-    weights = np.log(np.random.default_rng(len(probs)).uniform(0.01, 1.0, len(probs)))
-    return [(_kernel.factors(probs), weights)] + [(_kernel.factors(c), w) for w, c in zip(log_w, cond)]
+    """The factors of classes over the rows of probs (P, 4): the rows themselves, and the
+    3-cat code's syndrome classes on them."""
+    _, cond = _kernel.inner_ensemble(probs, 3)
+    return [_kernel.factors(probs)] + [_kernel.factors(c) for c in cond]
 
 
 @pytest.mark.parametrize("points", [1, 17])
 def test_class_tables_equal_the_per_count_reference(points):
-    # A class's table, built over a range of counts in one pass, holds per count the bits
-    # of that count's vectors and log scale built on their own, less lgamma(k + 1) where
-    # the walk takes it.  Ranges: 1..M, their upper halves and single counts for every
-    # M <= 40, and the 4096-cat's one count.  The inputs cover zero probabilities,
-    # beta < 0, bbar < 0 and a class of weight 0 (log weight -inf).
+    # A class's tables, built over a range of counts in one pass, hold per count the bits
+    # of that count's vectors built on their own, and so do the logs s of their maxima
+    # (the callers' scale terms are covered by the rate_sums references).  Ranges: 1..M,
+    # their upper halves and single counts for every M <= 40, and the 4096-cat's one
+    # count.  The inputs cover zero probabilities, beta < 0 and bbar < 0.
     probs = np.array([ch.probs for ch in random_channels(20261019, 10) + EDGE_CHANNELS])
     # A point's bits do not depend on its batch, so one point at a time takes fewer rows.
     batches = [probs] if points == len(probs) else [row[None] for row in probs[::2]]
-    classes = [c for batch in batches for c in edge_classes(batch)]
-    assert any(f[4].any() for f, _ in classes) and any(f[5].any() for f, _ in classes)
-    assert any(np.isneginf(w).any() for _, w in classes)
+    classes = [f for batch in batches for f in edge_classes(batch)]
+    assert any(f[4].any() for f in classes) and any(f[5].any() for f in classes)
     ranges = [(lo, hi) for hi in range(1, 41) for lo in sorted({1, hi // 2 + 1, hi})] + [(4096, 4096)]
-    for f, log_w in classes:
-        want = {k: reference_class_vectors(f, log_w, k) for k in list(range(1, 41)) + [4096]}
+    for f in classes:
+        want = {k: reference_class_vectors(f, k) for k in list(range(1, 41)) + [4096]}
         for lo, hi in ranges:
-            counts = range(lo, hi + 1)
-            want_vecs = np.concatenate([want[k][0] for k in counts], axis=-1)
-            for less_lgamma in (False, True):
-                norms = [math.lgamma(k + 1) if less_lgamma else 0.0 for k in counts]
-                vecs, log_ks = zip(*_kernel._class_vectors(f, log_w, lo, hi, less_lgamma))
-                assert np.array_equal(float_bits(np.concatenate(vecs, axis=-1)), float_bits(want_vecs))
-                want_log_ks = [want[k][1] - norm for k, norm in zip(counts, norms)]
-                assert np.array_equal(float_bits(np.array(log_ks)), float_bits(np.array(want_log_ks)))
+            tables, s = _kernel._class_vectors(f, lo, hi)
+            for k, table, s_k in zip(range(lo, hi + 1), tables, s.T, strict=True):
+                assert np.array_equal(float_bits(table), float_bits(want[k][0]))
+                assert np.array_equal(float_bits(s_k), float_bits(want[k][1]))
 
 
 PAPER_SCALE = [
