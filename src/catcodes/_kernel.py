@@ -37,10 +37,13 @@ so only the first half of the cells is evaluated.
 Compositions are walked in lexicographic order.  The cells of classes 0..n-2
 extend those a composition shares with the previous one, and the last class's
 vector completes them into the composition's C-order cells, written side by side
-with those of the compositions before it into one reused buffer.  A run of
-compositions evaluates the entropies of their first halves and mirrors in one
-pass; each composition's sum is one pairwise sum over its own cells, and the sums
-are added in order.
+with those of the compositions before it into one reused buffer (under a prefix of
+zero counts, as in every cat code, the vector is the cells).  Both products are
+`np.einsum` outer products, np.multiply's IEEE products except that a -0.0 may be
+written as +0.0: only b-cells can be -0.0 and |b| <= a, so a +- b is the same float
+either way.  A run of compositions evaluates the entropies of their first halves
+and mirrors in one pass, in planes of one buffer per call; each composition's sum
+is one pairwise sum over its own cells, and the sums are added in order.
 """
 
 from __future__ import annotations
@@ -54,8 +57,10 @@ import numpy as np
 TINY = np.finfo(float).tiny
 # Largest points x cells of a run of compositions evaluated together (a larger
 # composition is a run of its own), and of a range of counts of one class's vectors
-# (at the largest count).  Their arrays stay near 128 KiB, below which malloc reuses
-# heap memory instead of mapping fresh pages, whose faults cost more than the arithmetic.
+# (at the largest count).  A run's planes fit in one 640 KiB buffer per call; the kernel
+# frees no array over 768 KiB, as that raises glibc's mmap threshold for the process
+# (and speeds up the large temporaries of perfbench's probe).  At 1 << 14, one 5-in-16
+# point peaks at 1.64 MB.
 CELL_BUDGET = 1 << 13
 # Largest points x cells of the largest composition at once: `rate_sums` evaluates
 # more points in slices, so one large composition does not hold a whole p-grid.
@@ -161,28 +166,29 @@ def _class_vectors(factors: tuple, lo: int, hi: int) -> tuple:
     return [out[..., a:a + k + 1] for k, a in zip(range(lo, hi + 1), starts)], s
 
 
-def _conditionals(front: np.ndarray, mirror: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _conditionals(front: np.ndarray, mirror: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Joint probabilities (4, P, count) of cells `front` (2, P, count), each paired
     with its mirror, the same place of `mirror`, in slot order I, X, Y, Z, and the
-    weights a0 + a1 (P, count)."""
+    weights a0 + a1 (P, count); in the planes of `out` (5, P, count) if given."""
     (a0, b0), (a1, b1) = front, mirror
-    cond = np.empty((4,) + a0.shape)
+    cond = np.empty((4,) + a0.shape) if out is None else out[:4]
     np.add(a0, b0, out=cond[0])
     np.add(a1, b1, out=cond[1])
     np.subtract(a1, b1, out=cond[2])
     np.subtract(a0, b0, out=cond[3])
-    return cond, a0 + a1
+    return cond, np.add(a0, a1, out=None if out is None else out[4])
 
 
-def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts) -> np.ndarray:
+def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts, scratch=None, logs=None) -> np.ndarray:
     """Sums of weight (1 - h) over all cells of compositions of `cells` cells each
     whose first halves start at `starts` in cond and weight, (len(cells), P): the sum
-    over a first half with its middle cell, if any, counted once for its pair."""
-    scratch = np.maximum(weight, TINY)
+    over a first half with its middle cell, if any, counted once for its pair.  Works
+    in cond and in `scratch` (P, count) and `logs` (4, P, count) if given."""
+    scratch = np.maximum(weight, TINY, out=scratch)
     np.divide(0.5, scratch, out=scratch)
     cond *= scratch
     np.maximum(cond, 0.0, out=cond)  # |b| <= a factorwise; clears roundoff
-    logs = np.maximum(cond, TINY)
+    logs = np.maximum(cond, TINY, out=logs)
     np.log2(logs, out=logs)
     cond *= logs
     g = np.add.reduce(cond, axis=0, out=scratch)  # ((c0 + c1) + c2) + c3
@@ -197,22 +203,28 @@ def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts) -> np.ndarray
     return sums
 
 
-def _joined(parts: list) -> np.ndarray:
-    """The arrays side by side along the last axis; a single one as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+def _joined(parts: list, out=None) -> np.ndarray:
+    """The arrays side by side along the last axis, in `out` if given; a single one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1, out=out)
 
 
-def _add_terms(total: np.ndarray, run: list) -> np.ndarray:
+def _add_terms(total: np.ndarray, run: list, flat: np.ndarray) -> np.ndarray:
     """`total` plus, in order, the terms scale * sum of w (1 - h) of a run of
     compositions, given per composition as the log scales of its prefix and of its
     last count and its C-order cells (2, P, cells), of which the mirror of cell i is
-    cells - 1 - i."""
+    cells - 1 - i.  The run's arrays are ten contiguous planes (P, first-half cells) at
+    the start of buffer `flat`, or fresh ones for a composition too large for it."""
     prefix_scale, last_scale, grids = zip(*run)
     cells = [grid.shape[-1] for grid in grids]
     halves = [(count + 1) // 2 for count in cells]
-    front = _joined([grid[..., :h] for grid, h in zip(grids, halves)])
-    mirror = _joined([grid[..., :-h - 1:-1] for grid, h in zip(grids, halves)])
-    sums = _half_sum(*_conditionals(front, mirror), cells, accumulate(halves[:-1], initial=0))
+    size, out = 10 * len(total) * sum(halves), (None,) * 5
+    if size <= len(flat):
+        planes = flat[:size].reshape(10, len(total), -1)
+        out = planes[0:2], planes[2:4], planes[4:9], planes[9], planes[0:4]  # logs reuse front, mirror
+    front = _joined([grid[..., :h] for grid, h in zip(grids, halves)], out[0])
+    mirror = _joined([grid[..., :-h - 1:-1] for grid, h in zip(grids, halves)], out[1])
+    cond, weight = _conditionals(front, mirror, out[2])
+    sums = _half_sum(cond, weight, cells, accumulate(halves[:-1], initial=0), *out[3:])
     terms = np.exp(np.add(prefix_scale, last_scale)) * sums
     terms[0] += total
     return np.add.accumulate(terms, axis=0)[-1]  # in order, as one += per composition
@@ -223,7 +235,7 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     (n, P) and channels (n, P, 4) over M = big_m blocks: the rate times the number of physical
     qubits per logical qubit.  A code over a cap raises at once (`capped_counts`)."""
     n, points = log_w.shape
-    capped_counts(n, big_m)
+    _, total_cells = capped_counts(n, big_m)
     q, r = divmod(big_m, n)
     step = max(1, SLICE_BUDGET // ((q + 2) ** r * (q + 1) ** (n - r)))  # cells of the largest composition
     if points > step:
@@ -254,27 +266,29 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     # composition's.
     prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
     total, run, width, work = np.zeros(points), [], 0, np.empty((2, points, 0))
+    flat = np.empty(10 * min(CELL_BUDGET, points * total_cells))  # `_add_terms`'s planes
     for first, comp in _compositions(big_m, n):
         for t, k in enumerate(comp[first:-1], first):
             grid, log_scale = prefix[t]
             if k:
                 vec, log_k = vector(t, k)
-                grid = (grid[..., None] * vec[:, :, None]).reshape(2, points, -1)
+                grid = np.einsum("api,apj->apij", grid, vec).reshape(2, points, -1)
                 log_scale = log_scale + log_k
             prefix[t + 1] = grid, log_scale
         grid, log_scale = prefix[-1]
         vec, log_k = vector(n - 1, comp[-1])
         cells = grid.shape[-1] * vec.shape[-1]
         if run and points * (width + cells) > CELL_BUDGET:
-            total, run, width = _add_terms(total, run), [], 0
-        if cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
-            work = np.empty((2, points, max(cells, CELL_BUDGET // points)))
-        # The last class completes the composition's C-order cells, in place in work.
-        out = work[..., width:width + cells]
-        np.multiply(grid[..., None], vec[:, :, None], out=out.reshape(2, points, -1, vec.shape[-1]))
+            total, run, width = _add_terms(total, run, flat), [], 0
+        out = vec  # under the unit prefix (every cat code) the cells, as 1.0 x = x
+        if grid is not unit[0]:  # the last class completes the C-order cells in work
+            if cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
+                work = np.empty((2, points, max(cells, CELL_BUDGET // points)))
+            out = work[..., width:width + cells]
+            np.einsum("api,apj->apij", grid, vec, out=out.reshape(2, points, -1, vec.shape[-1]))
         run.append((log_scale, log_k, out))
         width += cells
-    return _add_terms(total, run)
+    return _add_terms(total, run, flat)
 
 
 def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -170,7 +170,9 @@ def family_probs(family: ChannelFamily, ps) -> np.ndarray:
     outside = ~((-CLAMP_TOL <= ps) & (ps <= 1.0 + CLAMP_TOL))
     if outside.any():
         raise NoSolutionError(f"p = {ps[outside][0]} outside [0, 1.0] for {family.kind}")
-    probs = np.stack(np.broadcast_arrays(*_components(family, np.clip(ps, 0.0, 1.0))), axis=-1)
+    probs = np.empty((len(ps), 4))
+    for slot, column in enumerate(_components(family, np.clip(ps, 0.0, 1.0))):
+        probs[:, slot] = column
     probs[(-CLAMP_TOL <= probs) & (probs < 0.0)] = 0.0
     total = probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3]
     if not ((probs >= 0.0).all() and (abs(total - 1.0) <= SUM_TOL).all()):

@@ -268,9 +268,9 @@ def test_a_batch_over_the_cell_budget_is_evaluated_in_runs(channels20, monkeypat
     runs = []
     add_terms = _kernel._add_terms
 
-    def recorded(total, run):
+    def recorded(total, run, *args):
         runs.append(len(run))
-        return add_terms(total, run)
+        return add_terms(total, run, *args)
 
     monkeypatch.setattr(_kernel, "_add_terms", recorded)
     got = _kernel.rate_sums(log_w, cond, 19)
@@ -338,6 +338,35 @@ def test_class_tables_equal_the_per_count_reference(points):
             for k, table, s_k in zip(range(lo, hi + 1), tables, s.T, strict=True):
                 assert np.array_equal(float_bits(table), float_bits(want[k][0]))
                 assert np.array_equal(float_bits(s_k), float_bits(want[k][1]))
+
+
+def test_the_sign_of_a_zero_b_cell_does_not_change_the_conditionals():
+    # rate_sums forms its outer products with np.einsum, which computes each cell as
+    # np.multiply's one IEEE product but may write +0.0 where that product is -0.0.
+    # Only b-cells can be -0.0 (a-cells are products of exp values >= +0), and
+    # |b| <= a, so a +- b is the same float with either zero: a +- 0 = a for a != 0,
+    # and every sum is +0 for a = +0.  The inputs have beta = 0 with bbar < 0.
+    probs = np.array([ch.probs for ch in random_channels(20261019, 10) + EDGE_CHANNELS])
+    tables = [_kernel._class_vectors(f, 1, 5)[0] for f in edge_classes(probs)]
+    negative_zeros = 0
+    for t, (left, right) in enumerate(zip(tables, tables[1:] + tables[:1])):
+        for x, y in ((left[t % 5], right[4 - t % 5]), (left[4], right[2])):
+            einsum = np.einsum("api,apj->apij", x, y).reshape(2, len(probs), -1)
+            product = (x[..., None] * y[:, :, None]).reshape(2, len(probs), -1)
+            zero = product == 0.0
+            assert np.array_equal(float_bits(einsum[~zero]), float_bits(product[~zero]))
+            assert np.array_equal(einsum == 0.0, zero)
+            assert not np.signbit(product[0][zero[0]]).any()
+            negative_zeros += np.signbit(product[1][zero[1]]).sum()
+            flipped = product.copy()
+            flipped[1][zero[1]] *= -1.0  # every zero b-cell with the other sign
+            half = (product.shape[-1] + 1) // 2
+            want = _kernel._conditionals(product[..., :half], product[..., :-half - 1:-1])
+            for grid in (einsum, flipped):
+                got = _kernel._conditionals(grid[..., :half], grid[..., :-half - 1:-1])
+                for g, w in zip(got, want):
+                    assert np.array_equal(float_bits(g), float_bits(w))
+    assert negative_zeros
 
 
 PAPER_SCALE = [
