@@ -42,8 +42,11 @@ zero counts, as in every cat code, the vector is the cells).  Both products are
 `np.einsum` outer products, np.multiply's IEEE products except that a -0.0 may be
 written as +0.0: only b-cells can be -0.0 and |b| <= a, so a +- b is the same float
 either way.  A run of compositions evaluates the entropies of their first halves
-and mirrors in one pass, in planes of one buffer per call; each composition's sum
-is one pairwise sum over its own cells, and the sums are added in order.
+and mirrors in one pass, in planes of one buffer per call (a composition too large
+for it in chunks of its first half); each composition's sum is one pairwise sum over
+its own cells.  `_add_terms` gives a run's terms, one row per composition; `rate_sums`
+adds them in order, and `cat_sums`, whose codes (each on its own points) are one
+composition each, keeps one row per code.
 """
 
 from __future__ import annotations
@@ -159,9 +162,11 @@ def _class_vectors(factors: tuple, lo: int, hi: int) -> tuple:
     largest values, (P, counts)."""
     _, _, log_c, _, sizes, _, _, starts = _cells(lo, hi)
     j_term, k_less_j_term, sign_b0 = log_vectors(factors, lo, hi)
-    log_ab0 = j_term + log_c + k_less_j_term
+    log_ab0 = j_term + log_c
+    log_ab0 += k_less_j_term
     s = np.maximum.reduceat(log_ab0[0], starts, axis=1)
-    out = np.exp(log_ab0 - np.repeat(s, sizes, axis=1))
+    log_ab0 -= np.repeat(s, sizes, axis=1)
+    out = np.exp(log_ab0, out=log_ab0)
     out[1] *= sign_b0
     return [out[..., a:a + k + 1] for k, a in zip(range(lo, hi + 1), starts)], s
 
@@ -179,11 +184,10 @@ def _conditionals(front: np.ndarray, mirror: np.ndarray, out=None) -> tuple[np.n
     return cond, np.add(a0, a1, out=None if out is None else out[4])
 
 
-def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts, scratch=None, logs=None) -> np.ndarray:
-    """Sums of weight (1 - h) over all cells of compositions of `cells` cells each
-    whose first halves start at `starts` in cond and weight, (len(cells), P): the sum
-    over a first half with its middle cell, if any, counted once for its pair.  Works
-    in cond and in `scratch` (P, count) and `logs` (4, P, count) if given."""
+def _gains(cond: np.ndarray, weight: np.ndarray, scratch=None, logs=None, out=None) -> np.ndarray:
+    """weight (1 - h) of cells of joint probabilities cond (4, P, count) and weights (P, count),
+    in `out` if given, else in `scratch` (P, count) if given.  Works in cond and in `scratch`
+    and `logs` (4, P, count) if given."""
     scratch = np.maximum(weight, TINY, out=scratch)
     np.divide(0.5, scratch, out=scratch)
     cond *= scratch
@@ -191,43 +195,48 @@ def _half_sum(cond: np.ndarray, weight: np.ndarray, cells, starts, scratch=None,
     logs = np.maximum(cond, TINY, out=logs)
     np.log2(logs, out=logs)
     cond *= logs
-    g = np.add.reduce(cond, axis=0, out=scratch)  # ((c0 + c1) + c2) + c3
+    g = np.add.reduce(cond, axis=0, out=scratch if out is None else out)  # ((c0 + c1) + c2) + c3
     g += 1.0
     g *= weight
-    sums = np.empty((len(cells), len(g)))
-    for s, start, count in zip(sums, starts, cells):
-        middle = start + count // 2
-        np.add.reduce(g[:, start:middle], axis=1, out=s)  # one pairwise sum per composition
-        if count % 2:
-            s += 0.5 * g[:, middle]
-    return sums
+    return g
 
 
-def _joined(parts: list, out=None) -> np.ndarray:
-    """The arrays side by side along the last axis, in `out` if given; a single one as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1, out=out)
-
-
-def _add_terms(total: np.ndarray, run: list, flat: np.ndarray) -> np.ndarray:
-    """`total` plus, in order, the terms scale * sum of w (1 - h) of a run of
-    compositions, given per composition as the log scales of its prefix and of its
-    last count and its C-order cells (2, P, cells), of which the mirror of cell i is
-    cells - 1 - i.  The run's arrays are ten contiguous planes (P, first-half cells) at
-    the start of buffer `flat`, or fresh ones for a composition too large for it."""
+def _add_terms(run: list, flat: np.ndarray) -> np.ndarray:
+    """The terms scale * sum of w (1 - h), (len(run), P), of a run of compositions given as the
+    log scales of their prefix and last count and their C-order cells (2, P, cells), the mirror
+    of cell i at cells - 1 - i.  The run's arrays are ten planes (P, first-half cells) of buffer
+    `flat`, which holds any run of several; a composition too large for it is evaluated in chunks
+    of its first half, with only its w (1 - h) in a fresh plane."""
     prefix_scale, last_scale, grids = zip(*run)
     cells = [grid.shape[-1] for grid in grids]
     halves = [(count + 1) // 2 for count in cells]
-    size, out = 10 * len(total) * sum(halves), (None,) * 5
-    if size <= len(flat):
-        planes = flat[:size].reshape(10, len(total), -1)
-        out = planes[0:2], planes[2:4], planes[4:9], planes[9], planes[0:4]  # logs reuse front, mirror
-    front = _joined([grid[..., :h] for grid, h in zip(grids, halves)], out[0])
-    mirror = _joined([grid[..., :-h - 1:-1] for grid, h in zip(grids, halves)], out[1])
-    cond, weight = _conditionals(front, mirror, out[2])
-    sums = _half_sum(cond, weight, cells, accumulate(halves[:-1], initial=0), *out[3:])
-    terms = np.exp(np.add(prefix_scale, last_scale)) * sums
-    terms[0] += total
-    return np.add.accumulate(terms, axis=0)[-1]  # in order, as one += per composition
+    parts, points, width = list(zip(grids, halves)), grids[0].shape[1], sum(halves)
+    step = len(flat) // (10 * points)
+    gain = np.empty((points, width)) if width > step else None
+    for a in range(0, width, step):
+        b = min(a + step, width)
+        planes = flat[:10 * points * (b - a)].reshape(10, points, -1)  # logs reuse front, mirror
+        if len(run) > 1:  # one chunk: the first halves and their mirrors side by side
+            front = np.concatenate([grid[..., :h] for grid, h in parts], -1, planes[0:2])
+            mirror = np.concatenate([grid[..., :-h - 1:-1] for grid, h in parts], -1, planes[2:4])
+        else:
+            front, mirror = grids[0][..., a:b], grids[0][..., ::-1][..., a:b]
+        cond, weight = _conditionals(front, mirror, planes[4:9])
+        g = _gains(cond, weight, planes[9], planes[0:4], None if gain is None else gain[:, a:b])
+    g = g if gain is None else gain
+    sums = np.empty((len(run), points))
+    for s, start, count in zip(sums, accumulate(halves[:-1], initial=0), cells):
+        middle = start + count // 2  # the middle cell, if any, counts once for its pair
+        np.add.reduce(g[:, start:middle], axis=1, out=s)  # one pairwise sum per composition
+        if count % 2:
+            s += 0.5 * g[:, middle]
+    return np.exp(np.add(prefix_scale, last_scale)) * sums
+
+
+def _buffer(points: int, halves: int) -> np.ndarray:
+    """The runs' buffer: ten planes of P points x `halves` first-half cells (at least those of
+    the largest run), but at most CELL_BUDGET points x cells (640 KiB) and at least P."""
+    return np.empty(10 * max(points, min(CELL_BUDGET, points * halves)))
 
 
 def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
@@ -244,8 +253,8 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     if not points:
         return np.zeros(0)
     classes = list(zip(*factors(probs)))  # six (P,) arrays per class
-    # A class's counts (a cat code's only M) are built in ranges of `span` when the walk first
-    # takes one; a small code's range holds them all, and a range stays within CELL_BUDGET.
+    # A class's counts are built in ranges of `span` when the walk first takes one; a small
+    # code's range holds them all, and a range stays within CELL_BUDGET.
     lo, span = 1 if n > 1 else big_m, max(1, CELL_BUDGET // (points * (big_m + 1)))
     unit = np.ones((2, points, 1)), np.zeros(points)
     vectors = [{0: unit} for _ in classes]
@@ -261,12 +270,16 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
             vectors[t].update(zip(range(a, b + 1), zip(views, counts * log_w[t] + s.T - log_fact)))
         return vectors[t][k]
 
-    # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of
-    # the classes before t, rebuilt from the first count that differs from the previous
+    def add(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        terms[0] += total
+        return np.add.accumulate(terms, axis=0)[-1]  # in order, as one += per composition
+
+    # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of the
+    # classes before t, rebuilt from the first count that differs from the previous
     # composition's.
     prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
     total, run, width, work = np.zeros(points), [], 0, np.empty((2, points, 0))
-    flat = np.empty(10 * min(CELL_BUDGET, points * total_cells))  # `_add_terms`'s planes
+    flat = _buffer(points, total_cells)
     for first, comp in _compositions(big_m, n):
         for t, k in enumerate(comp[first:-1], first):
             grid, log_scale = prefix[t]
@@ -279,8 +292,8 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
         vec, log_k = vector(n - 1, comp[-1])
         cells = grid.shape[-1] * vec.shape[-1]
         if run and points * (width + cells) > CELL_BUDGET:
-            total, run, width = _add_terms(total, run, flat), [], 0
-        out = vec  # under the unit prefix (every cat code) the cells, as 1.0 x = x
+            total, run, width = add(total, _add_terms(run, flat)), [], 0
+        out = vec  # under the unit prefix the cells, as 1.0 x = x
         if grid is not unit[0]:  # the last class completes the C-order cells in work
             if cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
                 work = np.empty((2, points, max(cells, CELL_BUDGET // points)))
@@ -288,7 +301,37 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
             np.einsum("api,apj->apij", grid, vec, out=out.reshape(2, points, -1, vec.shape[-1]))
         run.append((log_scale, log_k, out))
         width += cells
-    return _add_terms(total, run, flat)
+    return add(total, _add_terms(run, flat))
+
+
+def cat_sums(probs: np.ndarray, lengths) -> np.ndarray:
+    """`rate_sums` of cat codes, one class of weight 1 each: code l over lengths[l] blocks on
+    channels probs[l] (P, 4), as (L, P) in one pass, each row bit for bit that code's alone.
+    Each code is one composition, and runs of codes in order are formed as in `rate_sums`."""
+    points = probs.shape[1]
+    cells = [capped_counts(1, m)[1] for m in lengths]
+    step = max(1, SLICE_BUDGET // max(cells))
+    if points > step:
+        return np.concatenate([cat_sums(probs[:, i:i + step], lengths) for i in range(0, points, step)], 1)
+    if not points:
+        return np.zeros((len(lengths), 0))
+    runs, width = [[]], 0
+    for code, count in enumerate(cells):
+        if runs[-1] and points * (width + count) > CELL_BUDGET:
+            runs.append([])
+            width = 0
+        runs[-1].append(code)
+        width += count
+    flat = _buffer(points, max(sum((cells[code] + 1) // 2 for code in run) for run in runs))
+    classes, rows = factors(probs), []  # six (L, P) arrays
+    for run in runs:
+        terms = []
+        for code in run:
+            [vec], s = _class_vectors([f[code] for f in classes], lengths[code], lengths[code])
+            log_m = math.lgamma(lengths[code] + 1)
+            terms.append((np.full(points, log_m), s[:, 0] - log_m, vec))
+        rows.append(_add_terms(terms, flat))
+    return np.concatenate(rows) + 0.0  # as `rate_sums` adds a code's one term to 0.0 (-0.0 reads +0.0)
 
 
 def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,11 @@ syndrome vector depends only on the syndrome's Hamming weight r, so all
 quantities are computed over the m weight classes instead of the 2^(m-1)
 syndrome vectors.
 
-Everything here comes from the shared numpy kernel (`_kernel`).  `_cat_rates` is
-its one-class rate sum over the rows of a (P, 4) probability array in the code's
-frame (`_frame`, the one slot rule of cat, inner and outer codes), and `cat_rate`
-that sum on one channel.  `syndrome_classes`, `joint_prob` and `induced_channel`
+Everything here comes from the shared numpy kernel (`_kernel`).  `_cats_rates` is
+its one-class rate sum of several codes in one pass, each over the rows of its own
+(P, 4) probability array in the code's frame (`_frame`, the one slot rule of cat,
+inner and outer codes); `_cat_rates` is that pass at one code, and `cat_rate` at
+one channel.  `syndrome_classes`, `joint_prob` and `induced_channel`
 read the class probabilities from the sum of the kernel's unscaled log-domain terms
 over flip counts (`_kernel.log_vectors`), and `joint_prob_hetero` forms the same
 two products for position-dependent channels; the tests and `catcodes verify`
@@ -178,15 +179,23 @@ def _frame(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
     return probs[..., BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
 
 
-def _cat_rates(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
-    """Rates (qubits per channel use) of the cat code on each row of a (P, 4)
-    array of checked probabilities (`family_probs`, or one `PauliChannel`),
-    evaluated as one batch.
+def _cats_rates(probs: np.ndarray, specs) -> np.ndarray:
+    """Rates (qubits per channel use) of cat codes `specs` on checked probabilities (L, P, 4),
+    code l on the P rows of probs[l], as (L, P) in one kernel pass: each row bit for bit that
+    code's rates alone.
 
     Achievable rate per Eq.-(5)-style conditional coherent-information
     accounting over syndrome weight classes.
     """
-    return _kernel.rate_sums(np.zeros((1, len(probs))), _frame(probs, spec)[None], spec.m) / spec.m
+    lengths = [spec.m for spec in specs]
+    framed = np.array([_frame(rows, spec) for rows, spec in zip(probs, specs)])
+    return _kernel.cat_sums(framed, lengths) / np.array(lengths)[:, None]
+
+
+def _cat_rates(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
+    """Rates of the cat code on each row of a (P, 4) array of checked probabilities
+    (`family_probs`, or one `PauliChannel`), evaluated as one batch (`_cats_rates`)."""
+    return _cats_rates(probs[None], [spec])[0]
 
 
 def cat_rate(ch: PauliChannel, spec: CatCodeSpec) -> float:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .channels import Basis, ChannelFamily, evaluate_family, family_probs
-from .catcode import CatCodeSpec, _cat_rates
-from .concat import ConcatSpec, _concat_rates
+from .catcode import CatCodeSpec, _cat_rates, _cats_rates
+from .concat import ConcatSpec, _concat_rates, _counts
 from .degradable import antidegradable
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
@@ -23,6 +23,9 @@ _PRE_SCAN_GRID = tuple((i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)
 # Bisection levels whose midpoints `threshold` evaluates as one batch when it follows
 # no predicted path: up to 2**3 - 1 = 7 points, which cost little more than one.
 BISECTION_LEVELS_PER_BATCH = 3
+# Lengths whose threshold searches `best_threshold_scan` advances together: each search holds
+# its evaluated points, and the kernel caches the count tables of 64 lengths (`_kernel._cells`).
+_LOCKSTEP_LENGTHS = 64
 
 
 class NoBracketError(RuntimeError):
@@ -68,7 +71,7 @@ def code_rate(family: ChannelFamily, code: CodeSpec, p: float) -> float:
 def _certified(family: ChannelFamily) -> tuple[bool, ...]:
     """Which pre-scan points are certified antidegradable, so rate <= 0 for
     every code.  Depends only on the family, since the grid is fixed; cached
-    because `best_threshold_scan` asks for it once per length."""
+    because every search of `best_threshold_scan` asks for it."""
     return tuple(antidegradable(evaluate_family(family, p)) for p in _PRE_SCAN_GRID)
 
 
@@ -158,11 +161,26 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     levels followed a path that went wrong near its top; the next batch
     evaluates full levels.  So if plain bisection takes `levels` steps from the
     pre-scan bracket, there are at most 1 + 2 ceil(levels / (L + 1)) batches.
+
+    The search is `_search`, answered here by `code_rates` and in `best_threshold_scan`
+    by one kernel pass per round for all lengths (`_thresholds`).
     """
+    search = _search(family, tol)
+    ps = next(search)
+    while True:
+        try:
+            ps = search.send(code_rates(family, code, ps))
+        except StopIteration as done:
+            return done.value
+
+
+def _search(family: ChannelFamily, tol: float):
+    """`threshold`'s search for one code as a generator: yields each batch's points (a list),
+    is sent their rates, and returns the `ThresholdResult`."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     scan = [p for p, skip in zip(_PRE_SCAN_GRID, _certified(family)) if not skip]
-    known = dict(zip([0.0] + scan, map(float, code_rates(family, code, [0.0] + scan))))
+    known = dict(zip([0.0] + scan, map(float, (yield [0.0] + scan))))
     batches = 1
     if known[0.0] <= 0.0:
         raise NoBracketError("rate is not positive at p = 0")
@@ -186,7 +204,7 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     while _split(lo, hi, tol) is not None:
         target = _predicted_crossing(known, lo, hi) if levels >= BISECTION_LEVELS_PER_BATCH else None
         mids = [p for p in _batch_midpoints(lo, hi, tol, target) if p not in known]
-        known.update(zip(mids, map(float, code_rates(family, code, mids))))
+        known.update(zip(mids, map(float, (yield mids))))
         batches += 1
         # Stops at the first midpoint not yet evaluated, which the next batch
         # evaluates first; nothing below it has been evaluated either.
@@ -201,14 +219,15 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), len(known), skipped, batches, warning)
 
 
-def _scan(m_range, value: Callable[[int], float]) -> tuple[list[tuple[int, float]], int]:
-    """(m, value(m)) for each distinct m of m_range in increasing order, and the
-    m of the largest value; ties go to the smallest m (cheaper code)."""
+def _scan(m_range, basis: Basis, field: str, values) -> tuple[list[ScanRow], int]:
+    """Rows of `field`, values(specs) of the cat codes of the distinct m of m_range in increasing
+    order, and the m of the largest value; ties go to the smallest m (cheaper code)."""
     ms = sorted(set(int(m) for m in m_range))
     if not ms:
         raise ValueError("m_range is empty")
-    pairs = [(m, value(m)) for m in ms]
-    return pairs, max(pairs, key=lambda pair: (pair[1], -pair[0]))[0]
+    pairs = list(zip(ms, values([CatCodeSpec(m, basis) for m in ms])))
+    rows = [ScanRow(m, **{field: v}) for m, v in pairs]
+    return rows, max(pairs, key=lambda pair: (pair[1], -pair[0]))[0]
 
 
 def best_length_scan(
@@ -217,9 +236,44 @@ def best_length_scan(
     basis: Basis,
     m_range,
 ) -> tuple[list[ScanRow], int]:
-    """Rate of each cat length at fixed noise; returns rows and the argmax m."""
-    pairs, best = _scan(m_range, lambda m: code_rate(family, CatCodeSpec(m, basis), p))
-    return [ScanRow(m, rate=v) for m, v in pairs], best
+    """Rate of each cat length at fixed noise, all lengths in one kernel pass; returns rows
+    and the argmax m."""
+    def rates(specs):
+        return _cats_rates(np.repeat(family_probs(family, [p])[None], len(specs), 0), specs)[:, 0].tolist()
+    return _scan(m_range, basis, "rate", rates)
+
+
+def _thresholds(family: ChannelFamily, specs: list[CatCodeSpec], tol: float) -> list[ThresholdResult]:
+    """`threshold` of each cat code of `specs`, in increasing length, bit for bit: the searches
+    of up to `_LOCKSTEP_LENGTHS` codes advance in rounds, each batch padded to the largest by
+    repeating its last point, one kernel pass (`_cats_rates`) per round.  If codes fail, the
+    shortest one's error is raised, as code after code would; the longer ones stop there."""
+    if len(specs) > _LOCKSTEP_LENGTHS:
+        head, tail = specs[:_LOCKSTEP_LENGTHS], specs[_LOCKSTEP_LENGTHS:]
+        return _thresholds(family, head, tol) + _thresholds(family, tail, tol)
+    searches = {spec: _search(family, tol) for spec in specs}
+    rates, results, failed = dict.fromkeys(specs), {}, None  # None starts a search
+    while rates:
+        asks = {}
+        for spec, row in rates.items():
+            try:
+                ps = searches[spec].send(row)
+                _counts(spec)  # a code over a cap fails at its first batch
+                asks[spec] = ps
+            except StopIteration as done:
+                results[spec] = done.value
+            except Exception as error:
+                failed = error  # shorter than any failed before: the longer codes stop here
+                break
+        rates = {}
+        if asks:
+            width = max(map(len, asks.values()))
+            ps = [batch + batch[-1:] * (width - len(batch)) for batch in asks.values()]
+            rows = _cats_rates(family_probs(family, ps).reshape(len(ps), width, 4), list(asks))
+            rates = {spec: row[:len(batch)] for (spec, batch), row in zip(asks.items(), rows)}
+    if failed is not None:
+        raise failed
+    return [results[spec] for spec in specs]
 
 
 def best_threshold_scan(
@@ -228,9 +282,10 @@ def best_threshold_scan(
     m_range,
     tol: float = 1e-6,
 ) -> tuple[list[ScanRow], int]:
-    """Zero-rate threshold of each cat length; returns rows and the argmax m."""
-    pairs, best = _scan(m_range, lambda m: threshold(family, CatCodeSpec(m, basis), tol=tol).p_star)
-    return [ScanRow(m, threshold=v) for m, v in pairs], best
+    """Zero-rate threshold of each cat length, the searches advanced together with the
+    results of `threshold` (`_thresholds`); returns rows and the argmax m."""
+    return _scan(m_range, basis, "threshold",
+                 lambda specs: [result.p_star for result in _thresholds(family, specs, tol)])
 
 
 def rule_of_thumb_lengths(q_z: float, p_z: float) -> tuple[float, float]:

@@ -15,6 +15,7 @@ from catcodes import (
     Basis,
     CatCodeSpec,
     ConcatSpec,
+    best_threshold_scan,
     cat_rate,
     code_rate,
     code_rates,
@@ -23,7 +24,7 @@ from catcodes import (
     make_family,
     threshold,
 )
-from catcodes import PauliChannel, _kernel
+from catcodes import PauliChannel, _kernel, catcode
 from catcodes.channels import BASIS_SLOTS
 from catcodes._kernel import _compositions
 from conftest import EDGE_CHANNELS, random_channels
@@ -235,8 +236,10 @@ def rebuilt_rate_sums(log_w, probs, big_m):
         if scale.any():
             cells = grid.shape[-1]
             half = (cells + 1) // 2
-            cond = _kernel._conditionals(grid[..., :half], grid[..., :-half - 1:-1])
-            total += scale * _kernel._half_sum(*cond, [cells], [0])[0]
+            g = _kernel._gains(*_kernel._conditionals(grid[..., :half], grid[..., :-half - 1:-1]))
+            middle = cells // 2  # the middle cell, if any, counts once for its pair
+            s = g[:, :middle].sum(axis=1)
+            total += scale * (s + 0.5 * g[:, middle] if cells % 2 else s)
     return total
 
 
@@ -268,9 +271,9 @@ def test_a_batch_over_the_cell_budget_is_evaluated_in_runs(channels20, monkeypat
     runs = []
     add_terms = _kernel._add_terms
 
-    def recorded(total, run, *args):
+    def recorded(run, *args):
         runs.append(len(run))
-        return add_terms(total, run, *args)
+        return add_terms(run, *args)
 
     monkeypatch.setattr(_kernel, "_add_terms", recorded)
     got = _kernel.rate_sums(log_w, cond, 19)
@@ -278,6 +281,11 @@ def test_a_batch_over_the_cell_budget_is_evaluated_in_runs(channels20, monkeypat
     assert len(runs) > 1 and 1 in runs and max(runs) > 1
     assert sum(runs) == 210
     assert hexes(got) == hexes(rebuilt_rate_sums(log_w, cond, 19))
+    # At three times the points, the first halves of the largest compositions (8 x 7 x 7
+    # cells) no longer fit the buffer and are evaluated in chunks.
+    log_w, cond = np.tile(log_w, 3), np.tile(cond, (1, 3, 1))
+    assert 3 * len(probs) * (8 * 7 * 7 // 2) > _kernel.CELL_BUDGET
+    assert hexes(_kernel.rate_sums(log_w, cond, 19)) == hexes(rebuilt_rate_sums(log_w, cond, 19))
 
 
 def test_a_large_p_grid_is_evaluated_in_slices_of_bounded_memory():
@@ -413,3 +421,58 @@ def test_two_in_two_hundred_keeps_its_memory_small():
     finally:
         tracemalloc.stop()
     assert peak <= 7.88e6 * 1.1
+
+
+def test_several_cat_codes_in_one_pass_equal_each_code_alone(monkeypatch):
+    # `_cats_rates` evaluates several cat codes, each on its own points, in one kernel pass;
+    # each row must be `_cat_rates` of that code alone, bit for bit.  Rounds: lengths 1 in
+    # bases X and Y (the physical frame), uneven point counts padded by repeating the last
+    # point, the 4096-cat at one point, and many codes over several CELL_BUDGET runs, with
+    # codes of one run each and one evaluated in chunks of its first half.
+    probs = np.array([ch.probs for ch in random_channels(20261020, 30) + EDGE_CHANNELS])
+    rng = np.random.default_rng(20261020)
+    runs = []
+    add_terms = _kernel._add_terms
+
+    def recorded(run, *args):
+        runs.append(len(run))
+        return add_terms(run, *args)
+
+    monkeypatch.setattr(_kernel, "_add_terms", recorded)
+    many = [CatCodeSpec(m, list(Basis)[m % 3]) for m in list(range(1, 61)) + [400, 1000]]
+    rounds = [
+        ([CatCodeSpec(1, Basis.X), CatCodeSpec(1, Basis.Y), CatCodeSpec(1), CatCodeSpec(2, Basis.X),
+          CatCodeSpec(3, Basis.Y), CatCodeSpec(5)], [3, 1, 7, 2, 5, 4]),
+        ([CatCodeSpec(4096), CatCodeSpec(1, Basis.X), CatCodeSpec(3)], [1, 1, 1]),
+        (many, [35] * len(many)),
+    ]
+    for specs, counts in rounds:
+        rows = [probs[rng.choice(len(probs), count)] for count in counts]
+        width = max(counts)
+        padded = np.array([np.concatenate([r, r[-1:].repeat(width - len(r), axis=0)]) for r in rows])
+        runs.clear()
+        got = catcode._cats_rates(padded, specs)
+        pass_runs = list(runs)  # those of the last round are checked below
+        assert got.shape == (len(specs), width)
+        for spec, row, rates in zip(specs, rows, got):
+            assert hexes(rates[:len(row)]) == hexes(catcode._cat_rates(row, spec))
+            # one point at a time, no code's first half takes chunks
+            assert hexes(rates[:len(row)]) == [catcode._cat_rates(p[None], spec)[0].hex() for p in row]
+    assert 35 * sum(spec.m + 1 for spec in many) > 2 * _kernel.CELL_BUDGET
+    assert 35 * (1000 + 2) // 2 > _kernel.CELL_BUDGET  # the 1000-cat's first half takes chunks
+    assert len(pass_runs) > 2 and max(pass_runs) > 1 and pass_runs.count(1) >= 2
+    assert sum(pass_runs) == len(many)
+
+
+def test_a_lockstep_scan_keeps_its_memory_small():
+    # A lockstep scan holds every length's search and one round's arrays at a time.  Scanning
+    # lengths one at a time, m = 1..200 on the 9:1 family peaked at 1.93 MB under
+    # tracemalloc; the bound is that plus 10 %.
+    best_threshold_scan(NINE_TO_ONE, Basis.Z, range(1, 41), tol=1e-8)
+    tracemalloc.start()
+    try:
+        best_threshold_scan(NINE_TO_ONE, Basis.Z, range(1, 201), tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.93e6 * 1.1

@@ -326,6 +326,70 @@ class TestBestLengthScan:
         assert (1 / q_z_at) / 2 <= best_m <= 2 / q_z_at
         assert max(r.threshold for r in rows if r.threshold is not None) > p_hash
 
+    def test_length_scan_equals_rate_by_rate(self):
+        rows, best_m = best_length_scan(NINE_TO_ONE, 0.05, Basis.Y, range(1, 41))
+        want = [code_rate(NINE_TO_ONE, CatCodeSpec(m, Basis.Y), 0.05) for m in range(1, 41)]
+        assert [row.rate.hex() for row in rows] == [rate.hex() for rate in want]
+        assert best_m == 1 + max(range(40), key=lambda i: (want[i], -i))
+
+
+def threshold_fields(result) -> tuple:
+    return (result.p_star.hex(), tuple(x.hex() for x in result.bracket), result.evaluations,
+            result.skipped, result.batches, result.warning)
+
+
+# Six families in which cat codes cross zero once, several times or never (dephasing in the
+# X and Y bases), so that some lengths raise.
+LOCKSTEP_FAMILIES = [DEPOL, TWO_PAULI, NINE_TO_ONE, make_family("independent_xz_ratio", {"ratio": 1.0}),
+                     DEPHASING, make_family("custom_ray", {"ex": 1.0, "ey": 0.5, "ez": 0.2})]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-5])
+@pytest.mark.parametrize("basis", list(Basis))
+@pytest.mark.parametrize("family", LOCKSTEP_FAMILIES, ids=lambda f: f"{f.kind}{dict(f.params)}")
+def test_lockstep_scan_equals_length_by_length_thresholds(family, basis, tol):
+    # The lockstep advances the searches of lengths 1..40 together, one kernel pass per round
+    # with padded batches; each result must be `threshold`'s for that length alone, field for
+    # field, and where lengths raise the scan must raise the shortest one's error.
+    specs = [CatCodeSpec(m, basis) for m in range(1, 41)]
+    want, error = [], None
+    for spec in specs:
+        try:
+            want.append(threshold(family, spec, tol))
+        except NoBracketError as raised:
+            error = raised
+            break
+    got = search._thresholds(family, specs[:len(want)], tol) if want else []
+    assert [threshold_fields(r) for r in got] == [threshold_fields(r) for r in want]
+    if error is None:
+        rows, best_m = best_threshold_scan(family, basis, range(40, 0, -1), tol)
+        assert [(row.m, row.threshold.hex()) for row in rows] == [(s.m, r.p_star.hex()) for s, r in zip(specs, want)]
+        assert best_m == 1 + max(range(40), key=lambda i: (want[i].p_star, -i))
+    else:
+        with pytest.raises(type(error)) as raised:
+            best_threshold_scan(family, basis, range(1, 41), tol)
+        assert str(raised.value) == str(error)
+
+
+def test_lockstep_scan_raises_the_shortest_failing_length_error(monkeypatch):
+    # Length 5 fails after its first batch and length 3 after its last, rounds later; the scan
+    # raises what length after length would raise: length 3's error.
+    search_of, lengths = search._search, iter(range(1, 6))
+
+    def searches(family, tol):
+        m = next(lengths)  # searches start in increasing length
+        if m == 5:
+            yield [0.5]
+            raise NoBracketError("length 5")
+        result = yield from search_of(family, tol)
+        if m == 3:
+            raise NoBracketError("length 3")
+        return result
+
+    monkeypatch.setattr(search, "_search", searches)
+    with pytest.raises(NoBracketError, match="length 3"):
+        best_threshold_scan(DEPOL, Basis.Z, range(1, 6), tol=1e-3)
+
 
 class TestTwoPauliFutility:
     @pytest.mark.parametrize("p", [0.22, 0.2271])
