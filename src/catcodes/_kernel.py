@@ -47,6 +47,16 @@ for it in chunks of its first half); each composition's sum is one pairwise sum 
 its own cells.  `_add_terms` gives a run's terms, one row per composition; `rate_sums`
 adds them in order, and `cat_sums`, whose codes (each on its own points) are one
 composition each, keeps one row per code.
+
+A threshold's coarse pre-scan needs only each point's sign, and a composition's term is
+at most its multinomial weight in magnitude (|1 - h| <= 1, and its cells' w sum to that
+weight).  `certified_sums` therefore walks with a subtree predicate (`_compositions`'
+`keep`, built by `_pruner`): a subtree of the walk, the compositions sharing a prefix of
+counts, is skipped where its closed-form weight is below `PRUNE_LEVEL` at every point,
+and that weight goes to the point's remainder.  A point whose partial sum exceeds its
+remainder in magnitude by `SIGN_MARGIN`, far above the rounding budget given with it, is
+certified; the others get `rate_sums`' full sums.  Without a predicate the walk is the
+plain loop.
 """
 
 from __future__ import annotations
@@ -75,6 +85,24 @@ MAX_CELLS = 100_000_000
 # Largest number of compositions C(M + n - 1, n - 1) of one rate evaluation: at about
 # 10-15 us each for one point (0.42-0.63 s for one point of 30-in-4's 40,920), 10-15 s.
 MAX_COMPOSITIONS = 1_000_000
+# `certified_sums`: the walk skips each subtree of compositions whose weight is below
+# PRUNE_LEVEL at every point, and a partial sum certifies a point's sign if its magnitude
+# exceeds the skipped weight by SIGN_MARGIN.  The margin covers what rounding adds to the float
+# partial sum, the float full sum and the float remainder.  The compositions' weights sum to 1,
+# so each error below is absolute:
+# - a term's cells are products of n + 1 factors and the exp of a log scale summed in n + 2
+#   steps from parts of magnitude up to L (lgamma(M + 1) is the largest: 31 for M = 16, 4,800
+#   for the largest admitted M), so a term is within about (3n + 2L + 10) eps of its value
+#   relative, and |1 - h| exceeds 1 by a few eps at most (log2 ulps, h's four-term sum);
+# - a composition's pairwise sum over its cells adds log2(cells) eps of its weight;
+# - the in-order sum over N compositions adds at most N eps, to the partial and the full sum;
+# - each skipped subtree's closed form (lgammas, a log-sum-exp, one exp) is within about
+#   (2L + 10) eps relative.
+# For 5-in-16 (N = 4,845, L = 31) that is about 2.2e-12 in all, and below 5e-10 for any
+# admitted code (N <= MAX_COMPOSITIONS), against a margin of 2^-20 = 9.5e-7.  The level is
+# the measured best of 1e-2..1e-6 on the depolarizing pre-scans of 3-in-15 to 5-in-16.
+PRUNE_LEVEL = 1e-3
+SIGN_MARGIN = 2.0 ** -20
 
 
 class CompositionLimitError(RuntimeError):
@@ -96,16 +124,37 @@ def capped_counts(n: int, big_m: int) -> tuple[int, int]:
     return compositions, cells
 
 
-def _compositions(total: int, parts: int):
+def _compositions(total: int, parts: int, keep=None):
     """(first, composition) for the compositions of `total` into `parts` counts >= 0, in
     lexicographic order, where `first` is the first count that differs from the previous
     composition's (0 for the first one): each step moves a unit from the last nonzero
-    count t > 0 to t - 1, so t - 1 changes first, and the rest to the end."""
+    count t > 0 to t - 1, so t - 1 changes first, and the rest to the end.
+
+    With `keep`, the walk asks keep(d, comp) at each subtree it enters, shallowest first: the
+    compositions that share comp[:d + 1], d = 0..parts-2, whose first one is comp (counts
+    d+1..parts-2 zero, the rest comp[-1] last).  A subtree it declines is skipped whole, so
+    the compositions yielded are a subsequence of the full order, each with the first count
+    that differs from the previous one yielded."""
     comp, t = [0] * (parts - 1) + [total], parts - 1 if total else 0
-    yield 0, tuple(comp)
-    while t:
+    if keep is None:
+        yield 0, tuple(comp)
+        while t:
+            comp[t - 1], comp[t], comp[-1] = comp[t - 1] + 1, 0, comp[t] - 1
+            yield t - 1, tuple(comp)
+            t = parts - 1 if comp[-1] else t - 1
+        return
+    first = entered = 0  # the first count changed since the last yield; the depth entered
+    while True:
+        declined = next((d for d in range(entered, parts - 1) if not keep(d, comp)), None)
+        if declined is None:
+            yield first, tuple(comp)
+            first = parts
+        elif declined < parts - 2 and comp[-1]:  # on to the subtree's last composition
+            comp[declined + 1], comp[-1], t = comp[-1], 0, declined + 1
+        if not t:
+            return
         comp[t - 1], comp[t], comp[-1] = comp[t - 1] + 1, 0, comp[t] - 1
-        yield t - 1, tuple(comp)
+        first, entered = min(first, t - 1), t - 1
         t = parts - 1 if comp[-1] else t - 1
 
 
@@ -239,14 +288,21 @@ def _buffer(points: int, halves: int) -> np.ndarray:
     return np.empty(10 * max(points, min(CELL_BUDGET, points * halves)))
 
 
-def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
+def _largest_cells(n: int, big_m: int) -> int:
+    """Cells of the largest composition of M = big_m blocks over n classes, the most even one."""
+    q, r = divmod(big_m, n)
+    return (q + 2) ** r * (q + 1) ** (n - r)
+
+
+def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int, keep=None) -> np.ndarray:
     """Sum of w (1 - h) over all cells at each of the P points, for n classes of log weights
     (n, P) and channels (n, P, 4) over M = big_m blocks: the rate times the number of physical
-    qubits per logical qubit.  A code over a cap raises at once (`capped_counts`)."""
+    qubits per logical qubit.  A code over a cap raises at once (`capped_counts`).  With `keep`
+    (see `_compositions`, and `certified_sums`), only the subtrees of compositions it keeps; it
+    applies to points that fit one slice (slices of more points are summed in full)."""
     n, points = log_w.shape
     _, total_cells = capped_counts(n, big_m)
-    q, r = divmod(big_m, n)
-    step = max(1, SLICE_BUDGET // ((q + 2) ** r * (q + 1) ** (n - r)))  # cells of the largest composition
+    step = max(1, SLICE_BUDGET // _largest_cells(n, big_m))
     if points > step:
         return np.concatenate([rate_sums(log_w[:, i:i + step], probs[:, i:i + step], big_m)
                                for i in range(0, points, step)])
@@ -280,7 +336,7 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
     total, run, width, work = np.zeros(points), [], 0, np.empty((2, points, 0))
     flat = _buffer(points, total_cells)
-    for first, comp in _compositions(big_m, n):
+    for first, comp in _compositions(big_m, n, keep):
         for t, k in enumerate(comp[first:-1], first):
             grid, log_scale = prefix[t]
             if k:
@@ -301,7 +357,59 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
             np.einsum("api,apj->apij", grid, vec, out=out.reshape(2, points, -1, vec.shape[-1]))
         run.append((log_scale, log_k, out))
         width += cells
-    return add(total, _add_terms(run, flat))
+    return add(total, _add_terms(run, flat)) if run else total
+
+
+def _pruner(log_w: np.ndarray, big_m: int, level: float) -> tuple:
+    """A `keep` for `_compositions` of M = big_m blocks over n classes of log weights (n, P)
+    that declines each subtree whose weight is below `level` at every point, and the (P,)
+    remainder to which it adds the weights it declines.  By the multinomial theorem, the
+    subtree of prefix (k_0..k_d) with R blocks left weighs
+    M! / (k_0! ... k_d! R!) prod_t w_t^k_t (sum_{t>d} w_t)^R; a count or an R of 0 adds a
+    factor 1, also where its weight is 0 (in log domain, 0 * -inf would be NaN)."""
+    n, points = log_w.shape
+    log_fact = [math.lgamma(k + 1) for k in range(big_m + 1)]
+    rest = np.logaddexp.accumulate(log_w[::-1], axis=0)[::-1]  # log sum_{t' >= t} w_t', (n, P)
+    counts = np.arange(big_m + 1).reshape(-1, 1, 1, 1)
+    # powers[k, 0, t] = k log w_t and powers[k, 1, t] = k log sum_{t' >= t} w_t', 0 at k = 0.
+    powers = np.multiply(counts, [log_w, rest], out=np.zeros((big_m + 1, 2, n, points)), where=counts > 0)
+    log_level, remainder = math.log(level), np.zeros(points)
+    # prefix[d]: the scalar and (P,) parts of the log weight of the counts before class d.
+    prefix = [(log_fact[big_m], np.zeros(points))] + [None] * (n - 1)
+
+    def keep(d: int, comp: list) -> bool:
+        scale, log_weight = prefix[d]
+        k, left = comp[d], comp[-1]
+        prefix[d + 1] = scale, log_weight = scale - log_fact[k], log_weight + powers[k, 0, d]
+        log_weight = log_weight + powers[left, 1, d + 1]
+        scale -= log_fact[left]
+        if log_weight.max() >= log_level - scale:
+            return True
+        remainder[:] += np.exp(log_weight + scale)
+        return False
+
+    return keep, remainder
+
+
+def certified_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`rate_sums`' arguments; the sums at each of the P points, or where a weight-pruned walk
+    fixes a sum's sign, its partial sum, and which points that is, (P,) bool.
+
+    The walk skips each subtree of compositions lighter than `PRUNE_LEVEL` at every point
+    (`_pruner`) and adds its weight to the point's remainder.  A composition's term is at most
+    its weight in magnitude, as |1 - h| <= 1, so a point is certified where
+    |partial| > remainder + `SIGN_MARGIN`.  The others get their full sums, bit for bit those of
+    `rate_sums` (a point's sum does not depend on its batch).  Points that do not fit one
+    slice are not pruned."""
+    n, points = log_w.shape
+    if points * _largest_cells(n, big_m) > SLICE_BUDGET:
+        return rate_sums(log_w, probs, big_m), np.zeros(points, bool)
+    keep, remainder = _pruner(log_w, big_m, PRUNE_LEVEL)
+    sums = rate_sums(log_w, probs, big_m, keep)
+    certified = np.abs(sums) > remainder + SIGN_MARGIN
+    if not certified.all():
+        sums[~certified] = rate_sums(log_w[:, ~certified], probs[:, ~certified], big_m)
+    return sums, certified
 
 
 def cat_sums(probs: np.ndarray, lengths) -> np.ndarray:

@@ -49,12 +49,20 @@ CELL_POINT_S = 65e-9
 # small figure2 of the benchmark (about 50 ms, of which a second worker could save
 # 25 ms) 22 ms longer.
 POOL_LINE_S = 0.05
+# Largest estimated serial seconds of one figure1, its lengths' `_seconds` summed: ten minutes.
+# The largest grid the parser admits, --m-range 1:4096 --p-grid 0:1:4096, is estimated at
+# 2,235 s; 1:4096 over 21 points at 11 s, and every length to 40 over 4,096 points at 0.2 s.
+MAX_FIGURE1_S = 600.0
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader closed
+
+
+class CommandLimitError(RuntimeError):
+    """A command's estimated serial work exceeds its cap (exit 4, as for a code over a cap)."""
 
 
 class SpecParseError(ValueError):
@@ -360,6 +368,10 @@ def cmd_figure1(args) -> int:
     # One column per length: the cat code's rates at every channel of the grid, as one batch.
     codes = [CatCodeSpec(m, basis) for m in ms]
     seconds = [_seconds(code, len(ps), 1) for code in codes]
+    if sum(seconds) > MAX_FIGURE1_S:
+        cells = sum(_counts(code)[1] for code in codes) * len(ps)
+        raise CommandLimitError(f"figure1 sums {cells} (cell, noise point) terms, an estimated "
+                                f"{sum(seconds):.0f} s serially, past the cap of {MAX_FIGURE1_S:.0f} s")
     columns = _map(args, functools.partial(_cat_rates, probs), codes, seconds)
     columns = [col.tolist() for col in columns]
     rows = [(p, m, col[i]) for i, p in enumerate(ps) for m, col in zip(ms, columns)]
@@ -526,7 +538,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CompositionLimitError as exc:
+    except (CompositionLimitError, CommandLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (NoBracketError, ValueError) as exc:

@@ -52,6 +52,15 @@ def _counts(code: Union[CatCodeSpec, ConcatSpec]) -> tuple[int, int]:
     return _kernel.capped_counts(n, big_m)
 
 
+def _outer_classes(probs: np.ndarray, spec: ConcatSpec) -> tuple:
+    """`_kernel.rate_sums`' arguments for the concatenated code on each row of a (P, 4) array
+    of checked probabilities: the inner code's syndrome-weight classes, their channels in the
+    outer code's frame, and the outer length.  The caps are checked first."""
+    _counts(spec)  # checks the caps before the inner ensemble is built
+    log_w, cond = _kernel.inner_ensemble(_frame(probs, spec.inner), spec.inner.m)
+    return log_w, _frame(cond, spec.outer), spec.outer.m
+
+
 def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     """Rates (qubits per physical channel use) of the concatenated code on each
     row of a (P, 4) array of checked probabilities (`family_probs`, or one
@@ -62,10 +71,15 @@ def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     counts; no sampling is involved and the summation order is fixed, so the
     result is deterministic.
     """
-    _counts(spec)  # checks the caps before the inner ensemble is built
-    n, big_m = spec.inner.m, spec.outer.m
-    log_w, cond = _kernel.inner_ensemble(_frame(probs, spec.inner), n)
-    return _kernel.rate_sums(log_w, _frame(cond, spec.outer), big_m) / (n * big_m)
+    return _kernel.rate_sums(*_outer_classes(probs, spec)) / (spec.inner.m * spec.outer.m)
+
+
+def _concat_signs(probs: np.ndarray, spec: ConcatSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`_concat_rates`, except that a point whose sign a weight-pruned pass certifies gets its
+    partial rate (`_kernel.certified_sums`); and which points those are, (P,) bool.  The
+    others' rates are `_concat_rates`' bit for bit."""
+    sums, certified = _kernel.certified_sums(*_outer_classes(probs, spec))
+    return sums / (spec.inner.m * spec.outer.m), certified
 
 
 def concat_rate(ch: PauliChannel, spec: ConcatSpec) -> float:

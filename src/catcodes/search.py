@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .channels import Basis, ChannelFamily, evaluate_family, family_probs
 from .catcode import CatCodeSpec, _cat_rates, _cats_rates
-from .concat import ConcatSpec, _concat_rates, _counts
+from .concat import ConcatSpec, _concat_rates, _concat_signs, _counts
 from .degradable import antidegradable
 
 CodeSpec = Union[CatCodeSpec, ConcatSpec, None]
@@ -23,6 +23,16 @@ _PRE_SCAN_GRID = tuple((i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)
 # Bisection levels whose midpoints `threshold` evaluates as one batch when it follows
 # no predicted path: up to 2**3 - 1 = 7 points, which cost little more than one.
 BISECTION_LEVELS_PER_BATCH = 3
+# Cells per noise point (`concat._counts`) from which `threshold` answers its pre-scan batch
+# with one weight-pruned pass that only fixes each point's sign (`concat._concat_signs`).
+# Measured on the depolarizing pre-scan (17 points; 2-vCPU Xeon, in-process, median of 15
+# alternating runs), the pruned pass took 1.00x the full pass's time for 5-in-5 (2,002 cells),
+# 0.86x for 3-in-10 (3,003), 0.66-0.74x from 6,188 to 11,628 cells, 0.60x for 3-in-15 (15,504),
+# 0.48x for 3-in-19 (42,504) and 0.26-0.29x for 5-in-16, but 1.10x for 2-in-40 (12,341) and
+# 1.08x for 2-in-45 (17,296), whose small rates leave 6 of 17 points to a full pass.  On the
+# 9:1 (35 points) and two-Pauli (23 points) pre-scans, small codes lose more (0.9-1.5x from
+# 3-in-10 to 5-in-8); 5-in-16 takes 0.6x and 0.3-0.4x.
+CERTIFIED_PRE_SCAN_CELLS = 15_000
 # Lengths whose threshold searches `best_threshold_scan` advances together: each search holds
 # its evaluated points, and the kernel caches the count tables of 64 lengths (`_kernel._cells`).
 _LOCKSTEP_LENGTHS = 64
@@ -38,9 +48,10 @@ class ThresholdResult:
 
     p_star: float
     bracket: tuple[float, float]
-    evaluations: int  # noise points whose rate was computed
+    evaluations: int  # noise points whose full rate was computed
+    certified: int  # pre-scan points whose sign a partial sum certified, not fully evaluated
     skipped: int  # pre-scan points certified to have zero capacity, not evaluated
-    batches: int  # `code_rates` calls
+    batches: int  # batches of points evaluated together, the pre-scan first
     warning: Optional[str] = None
 
 
@@ -154,24 +165,42 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     then walks down while its midpoint has been evaluated, so the result is
     bit for bit that of plain bisection: the prediction only chooses which
     points to evaluate.  Bisection stops at width <= tol, or when no float
-    lies strictly inside the bracket.  Every evaluated point counts as one
-    evaluation.
+    lies strictly inside the bracket.  Every point whose full rate is computed
+    counts as one evaluation.
 
     A batch but the last that walks fewer than L = `BISECTION_LEVELS_PER_BATCH`
     levels followed a path that went wrong near its top; the next batch
     evaluates full levels.  So if plain bisection takes `levels` steps from the
     pre-scan bracket, there are at most 1 + 2 ceil(levels / (L + 1)) batches.
 
+    A concatenated code of at least `CERTIFIED_PRE_SCAN_CELLS` cells per point answers the
+    pre-scan batch with one weight-pruned pass (`concat._concat_signs`): where a partial sum
+    certifies a point's sign, the partial rate stands for the rate, since the pre-scan needs
+    only signs (and the path predictor, which only chooses points, reads the values); the
+    other points get their full rates.  Such points count as `certified`, not as
+    evaluations.  The result's `p_star`, `bracket` and `warning` are those of full rates.
+
     The search is `_search`, answered here by `code_rates` and in `best_threshold_scan`
     by one kernel pass per round for all lengths (`_thresholds`).
     """
     search = _search(family, tol)
-    ps = next(search)
+    rates, certified = _pre_scan(family, code, next(search))
     while True:
         try:
-            ps = search.send(code_rates(family, code, ps))
+            rates = code_rates(family, code, search.send(rates))
         except StopIteration as done:
-            return done.value
+            result = done.value
+            return replace(result, evaluations=result.evaluations - certified, certified=certified)
+
+
+def _pre_scan(family: ChannelFamily, code: CodeSpec, ps: list) -> tuple:
+    """The rates `threshold` takes for its pre-scan batch `ps`, and how many points of it were
+    certified: a concatenated code of at least `CERTIFIED_PRE_SCAN_CELLS` cells per point takes
+    `concat._concat_signs`, any other code `code_rates`, with none certified."""
+    if isinstance(code, ConcatSpec) and _counts(code)[1] >= CERTIFIED_PRE_SCAN_CELLS:
+        rates, certified = _concat_signs(family_probs(family, ps), code)
+        return rates, int(certified.sum())
+    return code_rates(family, code, ps), 0
 
 
 def _search(family: ChannelFamily, tol: float):
@@ -216,7 +245,7 @@ def _search(family: ChannelFamily, tol: float):
                 hi = mid
             levels += 1
     skipped = PRE_SCAN_POINTS - len(scan)
-    return ThresholdResult(0.5 * (lo + hi), (lo, hi), len(known), skipped, batches, warning)
+    return ThresholdResult(0.5 * (lo + hi), (lo, hi), len(known), 0, skipped, batches, warning)
 
 
 def _scan(m_range, basis: Basis, field: str, values) -> tuple[list[ScanRow], int]:

@@ -286,6 +286,26 @@ class TestExitCodes:
         assert calls == []
         assert not out.exists()
 
+    def test_figure1_over_its_total_cap_exits_before_any_rate(self, monkeypatch, tmp_path, capsys):
+        # The largest grid the parser admits is estimated at about 2,235 s serially, past
+        # MAX_FIGURE1_S; the figure1 grids of the README, CI and the benchmark are far below it.
+        calls = []
+        monkeypatch.setattr(cli, "_cat_rates", lambda *args: calls.append(args))
+        out = tmp_path / "f1.csv"
+        argv = "figure1 --channel depolarizing:p=0 --code cat:m=1 --m-range 1:4096 --p-grid 0:1:4096 --jobs 1"
+        assert main(argv.split() + ["--out", str(out)]) == EXIT_RESOURCE
+        cells = sum(m + 1 for m in range(1, 4097)) * 4096
+        assert f"figure1 sums {cells} (cell, noise point) terms" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+        def estimate(m_range, points):
+            codes = [cli.CatCodeSpec(m) for m in cli._m_range(m_range)]
+            return sum(cli._seconds(code, points, 1) for code in codes)
+
+        assert estimate("1:4096", 4096) > cli.MAX_FIGURE1_S
+        for m_range, points in (("1:40", 21), ("1:2", 4096), ("1:4096", 21), ("1:40", 4096)):
+            assert estimate(m_range, points) < cli.MAX_FIGURE1_S / 50
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -370,7 +390,18 @@ class TestThresholdCommand:
         assert record["skipped"] == 42
         assert record["batches"] == 2
         assert record["evaluations"] == 23 + 11
+        assert record["certified"] == 0  # a cat code's pre-scan is evaluated in full
         assert "warning" not in record
+
+    def test_json_reports_the_certified_pre_scan_of_3_in_19(self, capsys):
+        # 3-in-19 (42,504 cells per point) takes the certified pre-scan: on depolarizing noise
+        # its 17 points (p = 0 and 16 not antidegradable) all get their signs from partial sums.
+        argv = "threshold --channel depolarizing:p=0 --code concat:inner=3Z,outer=19X --tol 1e-5 --json"
+        assert main(argv.split()) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert list(record)[:6] == ["p_star", "bracket", "evaluations", "certified", "skipped", "batches"]
+        assert record["certified"] == 17 and record["skipped"] == 64 - 16
+        assert abs(record["p_star"] - 0.19086) <= 5e-5
 
     @staticmethod
     def two_crossings(monkeypatch):

@@ -24,8 +24,8 @@ from catcodes import (
     make_family,
     threshold,
 )
-from catcodes import PauliChannel, _kernel, catcode
-from catcodes.channels import BASIS_SLOTS
+from catcodes import PauliChannel, _kernel, catcode, concat
+from catcodes.channels import BASIS_SLOTS, family_probs
 from catcodes._kernel import _compositions
 from conftest import EDGE_CHANNELS, random_channels
 
@@ -377,17 +377,30 @@ def test_the_sign_of_a_zero_b_cell_does_not_change_the_conditionals():
     assert negative_zeros
 
 
+def dispatch() -> str:
+    """The family of numpy's float64 exp/log/log2 loops that this process runs: "avx512" where
+    numpy dispatches to its AVX-512 (AVX512_SKX, part of X86_V4) loops, else "baseline"."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return "avx512" if __cpu_features__.get("AVX512_SKX") else "baseline"
+
+
+# One frozen value per dispatch family: the loops differ by up to 1 ulp, and a paper-scale rate
+# sums millions of their values.  Both read on one AVX-512 Xeon with numpy 2.4.6, "baseline"
+# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (so AVX2, with glibc's libm).
 PAPER_SCALE = [
-    (5, 16, 0.1905, "0x1.87da22536501cp-15"),
-    (3, 19, 0.19086, "-0x1.c576f6bb107dcp-24"),
-    (5, 5, 0.18, "0x1.9f9a487d4ab51p-9"),
+    (5, 16, 0.1905, {"avx512": "0x1.87da22536501cp-15", "baseline": "0x1.87da22536502bp-15"}),
+    (3, 19, 0.19086, {"avx512": "-0x1.c576f6bb107dcp-24", "baseline": "-0x1.c576f6bb106bdp-24"}),
+    (5, 5, 0.18, {"avx512": "0x1.9f9a487d4ab51p-9", "baseline": "0x1.9f9a487d4ab51p-9"}),
 ]
 
 
 @pytest.mark.parametrize("n,big_m,p,want", PAPER_SCALE)
 def test_paper_scale_depolarizing_rates_are_frozen(n, big_m, p, want):
     spec = ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(big_m, Basis.X))
-    assert concat_rate(evaluate_family(DEPOL, p), spec).hex() == want
+    assert concat_rate(evaluate_family(DEPOL, p), spec).hex() == want[dispatch()]
 
 
 def test_one_five_in_sixteen_point_keeps_its_memory_small():
@@ -476,3 +489,138 @@ def test_a_lockstep_scan_keeps_its_memory_small():
     finally:
         tracemalloc.stop()
     assert peak <= 1.93e6 * 1.1
+
+
+def test_pruned_walk_is_a_subsequence_of_the_lexicographic_order():
+    # A predicate that depends only on the subtree's prefix declines whole subtrees: the walk
+    # yields exactly the compositions none of whose prefixes it declines, in the full order,
+    # each with the first count that differs from the previous one yielded, and asks about
+    # each subtree once.  Keeping everything is the full walk.
+    rng = np.random.default_rng(20261020)
+    for total in range(8):
+        for parts in range(1, 6):
+            for cut in (0.0, 0.2, 0.5, 0.9):
+                declined = {}
+                asked = []
+
+                def keep(d, comp):
+                    assert not any(comp[d + 1:-1]) and sum(comp) == total
+                    prefix = (d, tuple(comp[:d + 1]))
+                    asked.append(prefix)
+                    return not declined.setdefault(prefix, rng.random() < cut)
+
+                got = list(_compositions(total, parts, keep))
+                want = [comp for _, comp in _compositions(total, parts)
+                        if not any(declined.get((d, comp[:d + 1]), False) for d in range(parts - 1))]
+                assert [comp for _, comp in got] == want
+                prevs = [(-1,) * parts] + want[:-1]
+                assert [first for first, _ in got] == [
+                    next(t for t in range(parts) if comp[t] != prev[t]) for prev, comp in zip(prevs, want)]
+                assert len(asked) == len(set(asked))
+            assert list(_compositions(total, parts, lambda d, comp: True)) == list(_compositions(total, parts))
+
+
+def composition_weights(log_w: np.ndarray, comps) -> np.ndarray:
+    """The multinomial weight M! / prod k_t! prod w_t^k_t of each composition, summed, at each
+    point of classes of log weights (n, P); a count of 0 adds a factor 1."""
+    total = np.zeros(log_w.shape[1])
+    for comp in comps:
+        log_weight = np.full(log_w.shape[1], math.lgamma(sum(comp) + 1))
+        for t, k in enumerate(comp):
+            if k:
+                log_weight += k * log_w[t] - math.lgamma(k + 1)
+        total += np.exp(log_weight)
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), big_m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       level=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-5]),
+       picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=8))
+def test_visited_and_skipped_weights_add_up_to_one(n, big_m, seed, level, picks):
+    # The classes' weights sum to 1, so do the compositions' (multinomial theorem); the pruner's
+    # closed-form subtree weights must make up exactly what the walk leaves out.  The edge
+    # channels give classes of weight 0, whose log weight is -inf.
+    chs = EDGE_CHANNELS + random_channels(seed, 4)
+    log_w, _ = _kernel.inner_ensemble(np.array([chs[i].probs for i in picks]), n)
+    keep, remainder = _kernel._pruner(log_w, big_m, level)
+    visited = [comp for _, comp in _compositions(big_m, n, keep)]
+    assert np.all(np.abs(composition_weights(log_w, visited) + remainder - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("n,big_m", [(3, 5), (4, 7), (3, 19)])
+def test_an_unpruned_walk_gives_the_bits_of_rate_sums(n, big_m, channels20):
+    probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
+    log_w, cond = _kernel.inner_ensemble(probs, n)
+    want = hexes(_kernel.rate_sums(log_w, cond, big_m))
+    assert hexes(_kernel.rate_sums(log_w, cond, big_m, lambda d, comp: True)) == want
+
+
+# Concatenated codes past the gate of the certified pre-scan (3-in-15 to 3-in-19).
+CERTIFIED_CODES = [(3, 15), (4, 10), (2, 44), (5, 8), (3, 19)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(code=st.sampled_from(CERTIFIED_CODES), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=8))
+def test_certified_signs_are_those_of_the_full_sums(code, seed, picks):
+    # Every partial sum is within its remainder (plus the margin, which covers rounding) of the
+    # full sum, so a certified sign is the full sum's; uncertified points get the full bits.
+    n, big_m = code
+    assert _kernel.capped_counts(n, big_m)[1] >= search.CERTIFIED_PRE_SCAN_CELLS
+    chs = EDGE_CHANNELS + random_channels(seed, 4)
+    log_w, cond = _kernel.inner_ensemble(np.array([chs[i].probs for i in picks]), n)
+    full = _kernel.rate_sums(log_w, cond, big_m)
+    keep, remainder = _kernel._pruner(log_w, big_m, _kernel.PRUNE_LEVEL)
+    partial = _kernel.rate_sums(log_w, cond, big_m, keep)
+    assert np.all(np.abs(partial - full) <= remainder + _kernel.SIGN_MARGIN)
+    sums, certified = _kernel.certified_sums(log_w, cond, big_m)
+    assert certified.tolist() == (np.abs(partial) > remainder + _kernel.SIGN_MARGIN).tolist()
+    assert hexes(sums[certified]) == hexes(partial[certified])
+    assert np.all(np.sign(sums[certified]) * np.sign(full[certified]) == 1.0)
+    assert hexes(sums[~certified]) == hexes(full[~certified])
+
+
+def test_a_near_zero_point_falls_back_to_its_full_sum():
+    # Two-Pauli noise at p = 1 gives 3-in-19 a rate of about 1e-20, well inside the margin, so
+    # no partial sum certifies its sign; p = 0 and p = 0.1 are certified.  The batch must give
+    # the near-zero point the bits of its full sum.
+    spec = ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X))
+    args = concat._outer_classes(family_probs(make_family("two_pauli"), [0.0, 0.1, 1.0]), spec)
+    full = _kernel.rate_sums(*args)
+    assert abs(full[2]) < _kernel.SIGN_MARGIN
+    sums, certified = _kernel.certified_sums(*args)
+    assert certified.tolist() == [True, True, False]
+    assert sums[2].hex() == full[2].hex()
+    # Forced: with a margin of 1, nothing is certified, and every point has its full bits.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "SIGN_MARGIN", 1.0)
+        sums, certified = _kernel.certified_sums(*args)
+    assert not certified.any() and hexes(sums) == hexes(full)
+
+
+def test_a_point_within_its_remainder_is_not_certified():
+    # On the 9:1 family, 3-in-19's rates at p = 0.2 to 0.3 are 1e-3 to 1e-6 on the sum, well
+    # past the margin but within what the pruned walk skips, so only p = 0 is certified.
+    spec = ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X))
+    args = concat._outer_classes(family_probs(NINE_TO_ONE, [0.0, 0.2, 0.25, 0.3]), spec)
+    full = _kernel.rate_sums(*args)
+    keep, remainder = _kernel._pruner(args[0], 19, _kernel.PRUNE_LEVEL)
+    partial = _kernel.rate_sums(*args[:2], 19, keep)
+    assert np.all(np.abs(partial[1:]) > _kernel.SIGN_MARGIN)
+    assert np.all(np.abs(partial[1:]) < remainder[1:])
+    sums, certified = _kernel.certified_sums(*args)
+    assert certified.tolist() == [True, False, False, False]
+    assert hexes(sums[1:]) == hexes(full[1:])
+
+
+def test_a_batch_that_needs_slices_is_not_pruned(monkeypatch):
+    # The pruner's tables span the whole batch, so a batch that `rate_sums` would cut into
+    # slices is summed in full, and no point counts as certified.
+    spec = ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X))
+    args = concat._outer_classes(family_probs(DEPOL, [0.0, 0.1, 0.15]), spec)
+    full = _kernel.rate_sums(*args)
+    assert _kernel.certified_sums(*args)[1].all()
+    monkeypatch.setattr(_kernel, "SLICE_BUDGET", 2 * 8 * 7 * 7)  # two points of 3-in-19
+    sums, certified = _kernel.certified_sums(*args)
+    assert not certified.any() and hexes(sums) == hexes(full)

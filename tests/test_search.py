@@ -5,6 +5,7 @@ import math
 import pytest
 
 import catcodes.search as search
+from catcodes.concat import _concat_signs as concat_signs
 from catcodes import (
     Basis,
     CatCodeSpec,
@@ -71,6 +72,26 @@ def plain_threshold(family, code, tol, rate=None):
         else:
             hi = mid
     return 0.5 * (lo + hi), (lo, hi), warning
+
+
+def counted_threshold(monkeypatch, family, code, tol):
+    """`threshold`, its batch sizes, from `code_rates` and from the certified pre-scan
+    (`concat._concat_signs`), and the number of points that pre-scan certified."""
+    batch_sizes, certified = [], []
+
+    def counted(family, code, ps):
+        batch_sizes.append(len(ps))
+        return code_rates(family, code, ps)
+
+    def signed(probs, code):
+        rates, signs = concat_signs(probs, code)
+        batch_sizes.append(len(rates))
+        certified.append(int(signs.sum()))
+        return rates, signs
+
+    monkeypatch.setattr(search, "code_rates", counted)
+    monkeypatch.setattr(search, "_concat_signs", signed)
+    return threshold(family, code, tol=tol), batch_sizes, sum(certified)
 
 
 class TestThreshold:
@@ -140,18 +161,14 @@ class TestThreshold:
     )
     def test_same_result_as_plain_prescan_and_bisection(self, family, code, tol, monkeypatch):
         want = plain_threshold(family, code, tol)
-        batch_sizes = []
-
-        def counted(family, code, ps):
-            batch_sizes.append(len(ps))
-            return code_rates(family, code, ps)
-
-        monkeypatch.setattr(search, "code_rates", counted)
-        res = threshold(family, code, tol=tol)
+        res, batch_sizes, certified = counted_threshold(monkeypatch, family, code, tol)
         assert (res.p_star, res.bracket, res.warning) == want
-        assert res.evaluations == sum(batch_sizes)
+        assert res.evaluations + res.certified == sum(batch_sizes)
         assert res.batches == len(batch_sizes)
         assert res.skipped == search.PRE_SCAN_POINTS + 1 - batch_sizes[0]
+        # Only a concatenated code past the gate takes the certified pre-scan (3-in-19 here).
+        large = isinstance(code, ConcatSpec) and code.outer.m == 19
+        assert res.certified == certified and (certified > 0) == large
 
     @staticmethod
     def stub_threshold(monkeypatch, family, rate, tol):
@@ -280,6 +297,33 @@ class TestThreshold:
         # so every prediction is the bracket's upper end and none is used.
         res = threshold(DEPHASING, None, tol=1e-6)
         assert (res.batches, res.evaluations) == (6, 96)
+
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-6])
+    @pytest.mark.parametrize(
+        "family,n,big_m",
+        [(DEPOL, 4, 12), (DEPOL, 3, 15), (NINE_TO_ONE, 3, 19), (NINE_TO_ONE, 5, 8),
+         (TWO_PAULI, 3, 19), (TWO_PAULI, 4, 10)],
+        ids=["depol-4in12", "depol-3in15", "9to1-3in19", "9to1-5in8", "two_pauli-3in19", "two_pauli-4in10"],
+    )
+    def test_certified_pre_scan_keeps_the_plain_result(self, family, n, big_m, tol, monkeypatch):
+        # Partial rates stand for the certified pre-scan points; the signs, and so the bracket,
+        # are the full rates'.
+        code = ConcatSpec(CatCodeSpec(n), CatCodeSpec(big_m, Basis.X))
+        assert search._counts(code)[1] >= search.CERTIFIED_PRE_SCAN_CELLS
+        want = plain_threshold(family, code, tol)
+        res, batch_sizes, certified = counted_threshold(monkeypatch, family, code, tol)
+        assert (res.p_star, res.bracket, res.warning) == want
+        assert 0 < res.certified == certified <= batch_sizes[0]
+        assert res.evaluations + res.certified == sum(batch_sizes)
+        assert res.batches == len(batch_sizes)
+
+    def test_a_code_below_the_gate_evaluates_its_whole_pre_scan(self, monkeypatch):
+        code = ConcatSpec(CatCodeSpec(5), CatCodeSpec(5, Basis.X))
+        assert search._counts(code)[1] < search.CERTIFIED_PRE_SCAN_CELLS
+        res, batch_sizes, certified = counted_threshold(monkeypatch, DEPOL, code, 1e-6)
+        assert (res.certified, certified) == (0, 0)
+        assert res.evaluations == sum(batch_sizes)
 
 
 class TestCodeRate:
