@@ -48,15 +48,16 @@ its own cells.  `_add_terms` gives a run's terms, one row per composition; `rate
 adds them in order, and `cat_sums`, whose codes (each on its own points) are one
 composition each, keeps one row per code.
 
-A threshold's coarse pre-scan needs only each point's sign, and a composition's term is
+A threshold's coarse pre-scan needs only most points' signs, and a composition's term is
 at most its multinomial weight in magnitude (|1 - h| <= 1, and its cells' w sum to that
 weight).  `certified_sums` therefore walks with a subtree predicate (`_compositions`'
 `keep`, built by `_pruner`): a subtree of the walk, the compositions sharing a prefix of
 counts, is skipped where its closed-form weight is below `PRUNE_LEVEL` at every point,
 and that weight goes to the point's remainder.  A point whose partial sum exceeds its
 remainder in magnitude by `SIGN_MARGIN`, far above the rounding budget given with it, is
-certified; the others get `rate_sums`' full sums.  Without a predicate the walk is the
-plain loop.
+certified.  The points whose full sums are still wanted are completed by a second walk over
+the skipped compositions only, at those points, whose rows go in among the first walk's in
+the full order: `rate_sums`' bits, with each composition evaluated once.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ MAX_COMPOSITIONS = 1_000_000
 # - each skipped subtree's closed form (lgammas, a log-sum-exp, one exp) is within about
 #   (2L + 10) eps relative.
 # For 5-in-16 (N = 4,845, L = 31) that is about 2.2e-12 in all, and below 5e-10 for any
-# admitted code (N <= MAX_COMPOSITIONS), against a margin of 2^-20 = 9.5e-7.  The level is
-# the measured best of 1e-2..1e-6 on the depolarizing pre-scans of 3-in-15 to 5-in-16.
+# admitted code (N <= MAX_COMPOSITIONS), against a margin of 2^-20 = 9.5e-7.  The level was
+# the best or within 0.05 of it, of 1e-2, 1e-3 and 1e-4, on `search._pre_scan` (both passes)
+# for 3-in-19, 4-in-12 and 5-in-9 on depolarizing noise, 3-in-19 on 9:1 and 4-in-12 on
+# two-Pauli noise: 0.68-0.81x the full pass's time, against 0.77-0.98x at 1e-4.
 PRUNE_LEVEL = 1e-3
 SIGN_MARGIN = 2.0 ** -20
 
@@ -136,26 +139,20 @@ def _compositions(total: int, parts: int, keep=None):
     the compositions yielded are a subsequence of the full order, each with the first count
     that differs from the previous one yielded."""
     comp, t = [0] * (parts - 1) + [total], parts - 1 if total else 0
-    if keep is None:
-        yield 0, tuple(comp)
-        while t:
-            comp[t - 1], comp[t], comp[-1] = comp[t - 1] + 1, 0, comp[t] - 1
-            yield t - 1, tuple(comp)
-            t = parts - 1 if comp[-1] else t - 1
-        return
     first = entered = 0  # the first count changed since the last yield; the depth entered
     while True:
-        declined = next((d for d in range(entered, parts - 1) if not keep(d, comp)), None)
-        if declined is None:
+        if keep is None or (declined := next(
+                (d for d in range(entered, parts - 1) if not keep(d, comp)), None)) is None:
             yield first, tuple(comp)
-            first = parts
-        elif declined < parts - 2 and comp[-1]:  # on to the subtree's last composition
-            comp[declined + 1], comp[-1], t = comp[-1], 0, declined + 1
+            first = t - 1
+        else:
+            if declined < parts - 2 and comp[-1]:  # on to the subtree's last composition
+                comp[declined + 1], comp[-1], t = comp[-1], 0, declined + 1
+            first = min(first, t - 1)
         if not t:
             return
         comp[t - 1], comp[t], comp[-1] = comp[t - 1] + 1, 0, comp[t] - 1
-        first, entered = min(first, t - 1), t - 1
-        t = parts - 1 if comp[-1] else t - 1
+        entered, t = t - 1, parts - 1 if comp[-1] else t - 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -294,20 +291,34 @@ def _largest_cells(n: int, big_m: int) -> int:
     return (q + 2) ** r * (q + 1) ** (n - r)
 
 
-def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int, keep=None) -> np.ndarray:
+def _fold(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """`total` (P,) plus the rows of `terms` (compositions, P) in order, as one += per row."""
+    terms[0] += total
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     """Sum of w (1 - h) over all cells at each of the P points, for n classes of log weights
     (n, P) and channels (n, P, 4) over M = big_m blocks: the rate times the number of physical
-    qubits per logical qubit.  A code over a cap raises at once (`capped_counts`).  With `keep`
-    (see `_compositions`, and `certified_sums`), only the subtrees of compositions it keeps; it
-    applies to points that fit one slice (slices of more points are summed in full)."""
+    qubits per logical qubit.  A code over a cap raises at once (`capped_counts`)."""
     n, points = log_w.shape
-    _, total_cells = capped_counts(n, big_m)
+    capped_counts(n, big_m)
     step = max(1, SLICE_BUDGET // _largest_cells(n, big_m))
     if points > step:
         return np.concatenate([rate_sums(log_w[:, i:i + step], probs[:, i:i + step], big_m)
                                for i in range(0, points, step)])
-    if not points:
-        return np.zeros(0)
+    total = np.zeros(points)
+    if points:
+        for terms in _terms(log_w, probs, big_m, _compositions(big_m, n)):
+            total = _fold(total, terms)
+    return total
+
+
+def _terms(log_w: np.ndarray, probs: np.ndarray, big_m: int, walk):
+    """`rate_sums`' terms of the compositions (first, comp) of `walk`, a subsequence of
+    `_compositions`' order with its own `first` counts, at P >= 1 points: per run of
+    compositions, their rows (run, P).  A composition's row does not depend on the walk."""
+    n, points = log_w.shape
     classes = list(zip(*factors(probs)))  # six (P,) arrays per class
     # A class's counts are built in ranges of `span` when the walk first takes one; a small
     # code's range holds them all, and a range stays within CELL_BUDGET.
@@ -326,17 +337,13 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int, keep=None) -> np
             vectors[t].update(zip(range(a, b + 1), zip(views, counts * log_w[t] + s.T - log_fact)))
         return vectors[t][k]
 
-    def add(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        terms[0] += total
-        return np.add.accumulate(terms, axis=0)[-1]  # in order, as one += per composition
-
     # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of the
     # classes before t, rebuilt from the first count that differs from the previous
     # composition's.
     prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
-    total, run, width, work = np.zeros(points), [], 0, np.empty((2, points, 0))
-    flat = _buffer(points, total_cells)
-    for first, comp in _compositions(big_m, n, keep):
+    run, width, work = [], 0, np.empty((2, points, 0))
+    flat = _buffer(points, capped_counts(n, big_m)[1])
+    for first, comp in walk:
         for t, k in enumerate(comp[first:-1], first):
             grid, log_scale = prefix[t]
             if k:
@@ -348,7 +355,8 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int, keep=None) -> np
         vec, log_k = vector(n - 1, comp[-1])
         cells = grid.shape[-1] * vec.shape[-1]
         if run and points * (width + cells) > CELL_BUDGET:
-            total, run, width = add(total, _add_terms(run, flat)), [], 0
+            yield _add_terms(run, flat)
+            run, width = [], 0
         out = vec  # under the unit prefix the cells, as 1.0 x = x
         if grid is not unit[0]:  # the last class completes the C-order cells in work
             if cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
@@ -357,14 +365,25 @@ def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int, keep=None) -> np
             np.einsum("api,apj->apij", grid, vec, out=out.reshape(2, points, -1, vec.shape[-1]))
         run.append((log_scale, log_k, out))
         width += cells
-    return add(total, _add_terms(run, flat)) if run else total
+    if run:
+        yield _add_terms(run, flat)
+
+
+def _walk(comps: list):
+    """(first, comp) for compositions `comps` in `_compositions`' order: `first` is the first
+    count that differs from the previous composition's (0 for the first one)."""
+    prev = comps[0] if comps else ()
+    for comp in comps:
+        yield next((t for t, (a, b) in enumerate(zip(comp, prev)) if a != b), 0), comp
+        prev = comp
 
 
 def _pruner(log_w: np.ndarray, big_m: int, level: float) -> tuple:
     """A `keep` for `_compositions` of M = big_m blocks over n classes of log weights (n, P)
-    that declines each subtree whose weight is below `level` at every point, and the (P,)
-    remainder to which it adds the weights it declines.  By the multinomial theorem, the
-    subtree of prefix (k_0..k_d) with R blocks left weighs
+    that declines each subtree whose weight is below `level` at every point; the (P,)
+    remainder to which it adds the weights it declines; and the list to which it appends
+    each declined subtree as (d, comp), its depth and first composition.  By the multinomial
+    theorem, the subtree of prefix (k_0..k_d) with R blocks left weighs
     M! / (k_0! ... k_d! R!) prod_t w_t^k_t (sum_{t>d} w_t)^R; a count or an R of 0 adds a
     factor 1, also where its weight is 0 (in log domain, 0 * -inf would be NaN)."""
     n, points = log_w.shape
@@ -373,7 +392,7 @@ def _pruner(log_w: np.ndarray, big_m: int, level: float) -> tuple:
     counts = np.arange(big_m + 1).reshape(-1, 1, 1, 1)
     # powers[k, 0, t] = k log w_t and powers[k, 1, t] = k log sum_{t' >= t} w_t', 0 at k = 0.
     powers = np.multiply(counts, [log_w, rest], out=np.zeros((big_m + 1, 2, n, points)), where=counts > 0)
-    log_level, remainder = math.log(level), np.zeros(points)
+    log_level, remainder, declined = math.log(level), np.zeros(points), []
     # prefix[d]: the scalar and (P,) parts of the log weight of the counts before class d.
     prefix = [(log_fact[big_m], np.zeros(points))] + [None] * (n - 1)
 
@@ -386,30 +405,49 @@ def _pruner(log_w: np.ndarray, big_m: int, level: float) -> tuple:
         if log_weight.max() >= log_level - scale:
             return True
         remainder[:] += np.exp(log_weight + scale)
+        declined.append((d, tuple(comp)))
         return False
 
-    return keep, remainder
+    return keep, remainder, declined
 
 
-def certified_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """`rate_sums`' arguments; the sums at each of the P points, or where a weight-pruned walk
-    fixes a sum's sign, its partial sum, and which points that is, (P,) bool.
+def certified_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> tuple:
+    """`rate_sums`' arguments; per point, its partial sum over the compositions a weight-pruned
+    walk keeps, and whether that sum certifies the sign of the full sum, (P,) each; and
+    complete(full), which gives the full sums of the points of a (P,) bool mask, bit for bit
+    those of `rate_sums`.
 
     The walk skips each subtree of compositions lighter than `PRUNE_LEVEL` at every point
     (`_pruner`) and adds its weight to the point's remainder.  A composition's term is at most
     its weight in magnitude, as |1 - h| <= 1, so a point is certified where
-    |partial| > remainder + `SIGN_MARGIN`.  The others get their full sums, bit for bit those of
-    `rate_sums` (a point's sum does not depend on its batch).  Points that do not fit one
-    slice are not pruned."""
+    |partial| > remainder + `SIGN_MARGIN`.  `complete` evaluates the skipped compositions
+    only, at the masked points, and adds every composition's row in the full walk's order: a
+    row does not depend on the walk or the batch, so the sums are `rate_sums`' and the two
+    passes evaluate each composition once.  Points that do not fit one slice are not pruned:
+    their partial sums are their full sums, and none is certified."""
     n, points = log_w.shape
     if points * _largest_cells(n, big_m) > SLICE_BUDGET:
-        return rate_sums(log_w, probs, big_m), np.zeros(points, bool)
-    keep, remainder = _pruner(log_w, big_m, PRUNE_LEVEL)
-    sums = rate_sums(log_w, probs, big_m, keep)
-    certified = np.abs(sums) > remainder + SIGN_MARGIN
-    if not certified.all():
-        sums[~certified] = rate_sums(log_w[:, ~certified], probs[:, ~certified], big_m)
-    return sums, certified
+        sums = rate_sums(log_w, probs, big_m)
+        return sums, np.zeros(points, bool), lambda full: sums[full]
+    keep, remainder, declined = _pruner(log_w, big_m, PRUNE_LEVEL)
+    walked = []
+
+    def walk():
+        for first, comp in _compositions(big_m, n, keep):
+            walked.append(comp)
+            yield first, comp
+
+    terms = np.concatenate([np.zeros((0, points)), *_terms(log_w, probs, big_m, walk())])
+    sums = _fold(np.zeros(points), terms.copy()) if len(terms) else np.zeros(points)
+
+    def complete(full: np.ndarray) -> np.ndarray:
+        if not full.any():
+            return np.zeros(0)
+        skipped = [comp[:d + 1] + rest for d, comp in declined for _, rest in _compositions(comp[-1], n - d - 1)]
+        rows = np.concatenate([terms[:, full], *_terms(log_w[:, full], probs[:, full], big_m, _walk(skipped))])
+        return _fold(np.zeros(rows.shape[1]), rows[np.lexsort(np.array(walked + skipped).T[::-1])])
+
+    return sums, np.abs(sums) > remainder + SIGN_MARGIN, complete
 
 
 def cat_sums(probs: np.ndarray, lengths) -> np.ndarray:

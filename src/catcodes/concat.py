@@ -74,12 +74,14 @@ def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:
     return _kernel.rate_sums(*_outer_classes(probs, spec)) / (spec.inner.m * spec.outer.m)
 
 
-def _concat_signs(probs: np.ndarray, spec: ConcatSpec) -> tuple[np.ndarray, np.ndarray]:
-    """`_concat_rates`, except that a point whose sign a weight-pruned pass certifies gets its
-    partial rate (`_kernel.certified_sums`); and which points those are, (P,) bool.  The
-    others' rates are `_concat_rates`' bit for bit."""
-    sums, certified = _kernel.certified_sums(*_outer_classes(probs, spec))
-    return sums / (spec.inner.m * spec.outer.m), certified
+def _concat_signs(probs: np.ndarray, spec: ConcatSpec) -> tuple:
+    """`_kernel.certified_sums` as rates of the concatenated code: per point, its rate from a
+    weight-pruned pass and whether that certifies the sign of its full rate, (P,) each; and
+    complete(full), the full rates of the points of a (P,) bool mask, bit for bit those of
+    `_concat_rates`."""
+    sums, certified, complete = _kernel.certified_sums(*_outer_classes(probs, spec))
+    qubits = spec.inner.m * spec.outer.m
+    return sums / qubits, certified, lambda full: complete(full) / qubits
 
 
 def concat_rate(ch: PauliChannel, spec: ConcatSpec) -> float:

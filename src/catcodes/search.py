@@ -24,15 +24,17 @@ _PRE_SCAN_GRID = tuple((i + 1) / PRE_SCAN_POINTS for i in range(PRE_SCAN_POINTS)
 # no predicted path: up to 2**3 - 1 = 7 points, which cost little more than one.
 BISECTION_LEVELS_PER_BATCH = 3
 # Cells per noise point (`concat._counts`) from which `threshold` answers its pre-scan batch
-# with one weight-pruned pass that only fixes each point's sign (`concat._concat_signs`).
-# Measured on the depolarizing pre-scan (17 points; 2-vCPU Xeon, in-process, median of 15
-# alternating runs), the pruned pass took 1.00x the full pass's time for 5-in-5 (2,002 cells),
-# 0.86x for 3-in-10 (3,003), 0.66-0.74x from 6,188 to 11,628 cells, 0.60x for 3-in-15 (15,504),
-# 0.48x for 3-in-19 (42,504) and 0.26-0.29x for 5-in-16, but 1.10x for 2-in-40 (12,341) and
-# 1.08x for 2-in-45 (17,296), whose small rates leave 6 of 17 points to a full pass.  On the
-# 9:1 (35 points) and two-Pauli (23 points) pre-scans, small codes lose more (0.9-1.5x from
-# 3-in-10 to 5-in-8); 5-in-16 takes 0.6x and 0.3-0.4x.
-CERTIFIED_PRE_SCAN_CELLS = 15_000
+# with a weight-pruned pass and a pass that completes some of its points (`_pre_scan`).
+# Together the two passes walk every composition once: they save the skipped compositions'
+# cells at the points not completed and cost the pruner's work.  Measured in-process (2-vCPU Xeon, medians of 7-21 alternating runs, new / full
+# pre-scan batch) on the depolarizing (17 points), 9:1 (35) and two-Pauli (23) pre-scans:
+# every code from 40,000 cells won on all three, 3-in-19 (42,504) 0.73 / 0.90 / 0.95,
+# 4-in-12 (50,388) 0.75-0.78 / 0.88 / 0.97, 5-in-9 (48,620) 0.80-0.83 / 0.87 / 0.94,
+# 3-in-20, 4-in-13, 6-in-8 and 5-in-10 (to 92,378) 0.69-0.89, and 2-in-60 (39,711)
+# 0.88 / 0.96 / 0.90; below, codes lost on one family or another, 6-in-7 (31,824) 1.03 on
+# two-Pauli, 5-in-8 (24,310) 1.05-1.07, 2-in-45 (17,296) 1.09 on 9:1, 4-in-10 (19,448)
+# 1.08, 3-in-15 1.04, and 5-in-5 (2,002) 1.13-1.44.
+CERTIFIED_PRE_SCAN_CELLS = 40_000
 # Lengths whose threshold searches `best_threshold_scan` advances together: each search holds
 # its evaluated points, and the kernel caches the count tables of 64 lengths (`_kernel._cells`).
 _LOCKSTEP_LENGTHS = 64
@@ -49,7 +51,7 @@ class ThresholdResult:
     p_star: float
     bracket: tuple[float, float]
     evaluations: int  # noise points whose full rate was computed
-    certified: int  # pre-scan points whose sign a partial sum certified, not fully evaluated
+    certified: int  # pre-scan points whose sign a partial sum certified, their rate never needed
     skipped: int  # pre-scan points certified to have zero capacity, not evaluated
     batches: int  # batches of points evaluated together, the pre-scan first
     warning: Optional[str] = None
@@ -174,11 +176,11 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
     pre-scan bracket, there are at most 1 + 2 ceil(levels / (L + 1)) batches.
 
     A concatenated code of at least `CERTIFIED_PRE_SCAN_CELLS` cells per point answers the
-    pre-scan batch with one weight-pruned pass (`concat._concat_signs`): where a partial sum
-    certifies a point's sign, the partial rate stands for the rate, since the pre-scan needs
-    only signs (and the path predictor, which only chooses points, reads the values); the
-    other points get their full rates.  Such points count as `certified`, not as
-    evaluations.  The result's `p_star`, `bracket` and `warning` are those of full rates.
+    pre-scan batch with a weight-pruned pass (`concat._concat_signs`) and a pass that
+    completes the full rates of the points whose values the search reads (`_pre_scan`):
+    elsewhere a partial rate whose sign is certified stands for the rate, as the search reads
+    only its sign.  Such points count as `certified`, not as evaluations, and the search
+    evaluates the same points as with full rates, in as many batches, to the same result.
 
     The search is `_search`, answered here by `code_rates` and in `best_threshold_scan`
     by one kernel pass per round for all lengths (`_thresholds`).
@@ -194,13 +196,27 @@ def threshold(family: ChannelFamily, code: CodeSpec, tol: float = 1e-6) -> Thres
 
 
 def _pre_scan(family: ChannelFamily, code: CodeSpec, ps: list) -> tuple:
-    """The rates `threshold` takes for its pre-scan batch `ps`, and how many points of it were
-    certified: a concatenated code of at least `CERTIFIED_PRE_SCAN_CELLS` cells per point takes
-    `concat._concat_signs`, any other code `code_rates`, with none certified."""
-    if isinstance(code, ConcatSpec) and _counts(code)[1] >= CERTIFIED_PRE_SCAN_CELLS:
-        rates, certified = _concat_signs(family_probs(family, ps), code)
-        return rates, int(certified.sum())
-    return code_rates(family, code, ps), 0
+    """The rates `threshold` takes for its pre-scan batch `ps`, and how many of them are
+    certified partial rates: a concatenated code of at least `CERTIFIED_PRE_SCAN_CELLS` cells
+    per point takes `concat._concat_signs`, any other code `code_rates`, with none certified.
+
+    The search reads a pre-scan point's value, not only its sign, where it is an end of a
+    bracket it refines or the nearest evaluated point outside one (`_predicted_crossing`):
+    for the crossing from ps[i] to the next grid point, ps[i - 1] to ps[i + 2] at most.  So the
+    full rates are completed at every uncertified point and at those four around each crossing
+    the certified signs leave possible (a grid point not in `ps` counts as rate <= 0)."""
+    if not (isinstance(code, ConcatSpec) and _counts(code)[1] >= CERTIFIED_PRE_SCAN_CELLS):
+        return code_rates(family, code, ps), 0
+    rates, certified, complete = _concat_signs(family_probs(family, ps), code)
+    index = {p: i for i, p in enumerate(ps)}
+    up, down = ~certified | (rates > 0.0), ~certified | (rates <= 0.0)  # rate may be > 0, <= 0
+    full = ~certified
+    for p, q in zip((0.0,) + _PRE_SCAN_GRID, _PRE_SCAN_GRID):
+        i = index.get(p)
+        if i is not None and up[i] and (q not in index or down[index[q]]):
+            full[max(i - 1, 0):i + 3] = True
+    rates[full] = complete(full)
+    return rates, int(len(ps) - full.sum())
 
 
 def _search(family: ChannelFamily, tol: float):

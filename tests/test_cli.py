@@ -395,12 +395,14 @@ class TestThresholdCommand:
 
     def test_json_reports_the_certified_pre_scan_of_3_in_19(self, capsys):
         # 3-in-19 (42,504 cells per point) takes the certified pre-scan: on depolarizing noise
-        # its 17 points (p = 0 and 16 not antidegradable) all get their signs from partial sums.
+        # its 17 points (p = 0 and 16 not antidegradable) all get their signs from partial sums,
+        # and the 4 around the crossing at 12/64 to 13/64, 11/64 to 14/64, their full rates too.
         argv = "threshold --channel depolarizing:p=0 --code concat:inner=3Z,outer=19X --tol 1e-5 --json"
         assert main(argv.split()) == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         assert list(record)[:6] == ["p_star", "bracket", "evaluations", "certified", "skipped", "batches"]
-        assert record["certified"] == 17 and record["skipped"] == 64 - 16
+        assert record["certified"] == 13 and record["skipped"] == 64 - 16
+        assert record["evaluations"] + record["certified"] == 30 and record["batches"] == 3
         assert abs(record["p_star"] - 0.19086) <= 5e-5
 
     @staticmethod

@@ -533,19 +533,51 @@ def composition_weights(log_w: np.ndarray, comps) -> np.ndarray:
     return total
 
 
+def pruned(log_w, big_m, level=None):
+    """The compositions a walk pruned at `level` (`PRUNE_LEVEL` by default) keeps, and the
+    remainder and the declined subtrees its pruner gathers on the way."""
+    n = log_w.shape[0]
+    keep, remainder, declined = _kernel._pruner(log_w, big_m, _kernel.PRUNE_LEVEL if level is None else level)
+    return [comp for _, comp in _compositions(big_m, n, keep)], remainder, declined
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 6), big_m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
        level=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-5]),
        picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=8))
 def test_visited_and_skipped_weights_add_up_to_one(n, big_m, seed, level, picks):
     # The classes' weights sum to 1, so do the compositions' (multinomial theorem); the pruner's
-    # closed-form subtree weights must make up exactly what the walk leaves out.  The edge
-    # channels give classes of weight 0, whose log weight is -inf.
+    # closed-form subtree weights must make up exactly what the walk leaves out, and its
+    # declined subtrees hold exactly the compositions the walk skips.  The edge channels give
+    # classes of weight 0, whose log weight is -inf.
     chs = EDGE_CHANNELS + random_channels(seed, 4)
     log_w, _ = _kernel.inner_ensemble(np.array([chs[i].probs for i in picks]), n)
-    keep, remainder = _kernel._pruner(log_w, big_m, level)
-    visited = [comp for _, comp in _compositions(big_m, n, keep)]
+    visited, remainder, declined = pruned(log_w, big_m, level)
     assert np.all(np.abs(composition_weights(log_w, visited) + remainder - 1.0) <= 1e-12)
+    kept = set(visited)
+    skipped = [comp for _, comp in _compositions(big_m, n) if comp not in kept]
+    assert skipped == [first[:d + 1] + rest for d, first in declined
+                       for _, rest in _compositions(first[-1], n - d - 1)]
+
+
+def test_a_walk_of_any_subsequence_gives_the_firsts_of_the_full_walk():
+    # `_walk` gives a subsequence of the full order the `first` counts `_compositions` gives it.
+    rng = np.random.default_rng(7)
+    for total, parts in [(0, 3), (5, 1), (6, 3), (9, 4)]:
+        full = list(_compositions(total, parts))
+        assert list(_kernel._walk([comp for _, comp in full])) == full
+        picked = [comp for _, comp in full if rng.random() < 0.5]
+        prevs = [(-1,) * parts] + picked[:-1]
+        assert [first for first, _ in _kernel._walk(picked)] == [
+            next(t for t in range(parts) if comp[t] != prev[t]) for prev, comp in zip(prevs, picked)]
+
+
+def walk_sums(log_w, cond, big_m, walk):
+    """The in-order sums of `_kernel._terms`' rows over `walk`."""
+    total = np.zeros(log_w.shape[1])
+    for terms in _kernel._terms(log_w, cond, big_m, walk):
+        total = _kernel._fold(total, terms)
+    return total
 
 
 @pytest.mark.parametrize("n,big_m", [(3, 5), (4, 7), (3, 19)])
@@ -553,50 +585,52 @@ def test_an_unpruned_walk_gives_the_bits_of_rate_sums(n, big_m, channels20):
     probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
     log_w, cond = _kernel.inner_ensemble(probs, n)
     want = hexes(_kernel.rate_sums(log_w, cond, big_m))
-    assert hexes(_kernel.rate_sums(log_w, cond, big_m, lambda d, comp: True)) == want
+    assert hexes(walk_sums(log_w, cond, big_m, _compositions(big_m, n, lambda d, comp: True))) == want
 
 
-# Concatenated codes past the gate of the certified pre-scan (3-in-15 to 3-in-19).
-CERTIFIED_CODES = [(3, 15), (4, 10), (2, 44), (5, 8), (3, 19)]
+# Concatenated codes past the gate of the certified pre-scan (2-in-61 to 3-in-20).
+CERTIFIED_CODES = [(2, 61), (3, 19), (5, 9), (4, 12), (3, 20)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(code=st.sampled_from(CERTIFIED_CODES), seed=st.integers(0, 2**32 - 1),
-       picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=8))
-def test_certified_signs_are_those_of_the_full_sums(code, seed, picks):
+       picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=8),
+       mask=st.integers(0, 2**8 - 1))
+def test_certified_signs_are_those_of_the_full_sums(code, seed, picks, mask):
     # Every partial sum is within its remainder (plus the margin, which covers rounding) of the
-    # full sum, so a certified sign is the full sum's; uncertified points get the full bits.
+    # full sum, so a certified sign is the full sum's; completed points get the full bits.
     n, big_m = code
     assert _kernel.capped_counts(n, big_m)[1] >= search.CERTIFIED_PRE_SCAN_CELLS
     chs = EDGE_CHANNELS + random_channels(seed, 4)
     log_w, cond = _kernel.inner_ensemble(np.array([chs[i].probs for i in picks]), n)
     full = _kernel.rate_sums(log_w, cond, big_m)
-    keep, remainder = _kernel._pruner(log_w, big_m, _kernel.PRUNE_LEVEL)
-    partial = _kernel.rate_sums(log_w, cond, big_m, keep)
-    assert np.all(np.abs(partial - full) <= remainder + _kernel.SIGN_MARGIN)
-    sums, certified = _kernel.certified_sums(log_w, cond, big_m)
-    assert certified.tolist() == (np.abs(partial) > remainder + _kernel.SIGN_MARGIN).tolist()
-    assert hexes(sums[certified]) == hexes(partial[certified])
+    visited, remainder, _ = pruned(log_w, big_m)
+    sums, certified, complete = _kernel.certified_sums(log_w, cond, big_m)
+    assert hexes(sums) == hexes(walk_sums(log_w, cond, big_m, _kernel._walk(visited)))
+    assert np.all(np.abs(sums - full) <= remainder + _kernel.SIGN_MARGIN)
+    assert certified.tolist() == (np.abs(sums) > remainder + _kernel.SIGN_MARGIN).tolist()
     assert np.all(np.sign(sums[certified]) * np.sign(full[certified]) == 1.0)
-    assert hexes(sums[~certified]) == hexes(full[~certified])
+    chosen = np.array([bool(mask >> i & 1) for i in range(len(picks))])
+    assert hexes(complete(chosen)) == hexes(full[chosen])
+    assert hexes(complete(np.ones(len(picks), bool))) == hexes(full)
 
 
 def test_a_near_zero_point_falls_back_to_its_full_sum():
     # Two-Pauli noise at p = 1 gives 3-in-19 a rate of about 1e-20, well inside the margin, so
-    # no partial sum certifies its sign; p = 0 and p = 0.1 are certified.  The batch must give
-    # the near-zero point the bits of its full sum.
+    # no partial sum certifies its sign; p = 0 and p = 0.1 are certified.  Its completion must
+    # have the bits of its full sum.
     spec = ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X))
     args = concat._outer_classes(family_probs(make_family("two_pauli"), [0.0, 0.1, 1.0]), spec)
     full = _kernel.rate_sums(*args)
     assert abs(full[2]) < _kernel.SIGN_MARGIN
-    sums, certified = _kernel.certified_sums(*args)
+    sums, certified, complete = _kernel.certified_sums(*args)
     assert certified.tolist() == [True, True, False]
-    assert sums[2].hex() == full[2].hex()
-    # Forced: with a margin of 1, nothing is certified, and every point has its full bits.
+    assert complete(~certified)[0].hex() == full[2].hex()
+    # Forced: with a margin of 1, nothing is certified.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "SIGN_MARGIN", 1.0)
-        sums, certified = _kernel.certified_sums(*args)
-    assert not certified.any() and hexes(sums) == hexes(full)
+        sums, certified, complete = _kernel.certified_sums(*args)
+    assert not certified.any() and hexes(complete(~certified)) == hexes(full)
 
 
 def test_a_point_within_its_remainder_is_not_certified():
@@ -605,13 +639,12 @@ def test_a_point_within_its_remainder_is_not_certified():
     spec = ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X))
     args = concat._outer_classes(family_probs(NINE_TO_ONE, [0.0, 0.2, 0.25, 0.3]), spec)
     full = _kernel.rate_sums(*args)
-    keep, remainder = _kernel._pruner(args[0], 19, _kernel.PRUNE_LEVEL)
-    partial = _kernel.rate_sums(*args[:2], 19, keep)
-    assert np.all(np.abs(partial[1:]) > _kernel.SIGN_MARGIN)
-    assert np.all(np.abs(partial[1:]) < remainder[1:])
-    sums, certified = _kernel.certified_sums(*args)
+    _, remainder, _ = pruned(args[0], 19)
+    sums, certified, complete = _kernel.certified_sums(*args)
+    assert np.all(np.abs(sums[1:]) > _kernel.SIGN_MARGIN)
+    assert np.all(np.abs(sums[1:]) < remainder[1:])
     assert certified.tolist() == [True, False, False, False]
-    assert hexes(sums[1:]) == hexes(full[1:])
+    assert hexes(complete(~certified)) == hexes(full[1:])
 
 
 def test_a_batch_that_needs_slices_is_not_pruned(monkeypatch):
@@ -622,5 +655,6 @@ def test_a_batch_that_needs_slices_is_not_pruned(monkeypatch):
     full = _kernel.rate_sums(*args)
     assert _kernel.certified_sums(*args)[1].all()
     monkeypatch.setattr(_kernel, "SLICE_BUDGET", 2 * 8 * 7 * 7)  # two points of 3-in-19
-    sums, certified = _kernel.certified_sums(*args)
+    sums, certified, complete = _kernel.certified_sums(*args)
     assert not certified.any() and hexes(sums) == hexes(full)
+    assert hexes(complete(np.array([False, True, True]))) == hexes(full[1:])

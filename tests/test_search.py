@@ -76,7 +76,7 @@ def plain_threshold(family, code, tol, rate=None):
 
 def counted_threshold(monkeypatch, family, code, tol):
     """`threshold`, its batch sizes, from `code_rates` and from the certified pre-scan
-    (`concat._concat_signs`), and the number of points that pre-scan certified."""
+    (`concat._concat_signs`), and the number of points whose signs that pre-scan certified."""
     batch_sizes, certified = [], []
 
     def counted(family, code, ps):
@@ -84,10 +84,10 @@ def counted_threshold(monkeypatch, family, code, tol):
         return code_rates(family, code, ps)
 
     def signed(probs, code):
-        rates, signs = concat_signs(probs, code)
+        rates, signs, complete = concat_signs(probs, code)
         batch_sizes.append(len(rates))
         certified.append(int(signs.sum()))
-        return rates, signs
+        return rates, signs, complete
 
     monkeypatch.setattr(search, "code_rates", counted)
     monkeypatch.setattr(search, "_concat_signs", signed)
@@ -168,7 +168,7 @@ class TestThreshold:
         assert res.skipped == search.PRE_SCAN_POINTS + 1 - batch_sizes[0]
         # Only a concatenated code past the gate takes the certified pre-scan (3-in-19 here).
         large = isinstance(code, ConcatSpec) and code.outer.m == 19
-        assert res.certified == certified and (certified > 0) == large
+        assert res.certified <= certified and (res.certified > 0) == large
 
     @staticmethod
     def stub_threshold(monkeypatch, family, rate, tol):
@@ -302,21 +302,43 @@ class TestThreshold:
     @pytest.mark.parametrize("tol", [1e-5, 1e-6])
     @pytest.mark.parametrize(
         "family,n,big_m",
-        [(DEPOL, 4, 12), (DEPOL, 3, 15), (NINE_TO_ONE, 3, 19), (NINE_TO_ONE, 5, 8),
-         (TWO_PAULI, 3, 19), (TWO_PAULI, 4, 10)],
-        ids=["depol-4in12", "depol-3in15", "9to1-3in19", "9to1-5in8", "two_pauli-3in19", "two_pauli-4in10"],
+        [(DEPOL, 4, 12), (DEPOL, 3, 20), (NINE_TO_ONE, 3, 19), (NINE_TO_ONE, 2, 61),
+         (TWO_PAULI, 3, 19), (TWO_PAULI, 5, 9)],
+        ids=["depol-4in12", "depol-3in20", "9to1-3in19", "9to1-2in61", "two_pauli-3in19", "two_pauli-5in9"],
     )
     def test_certified_pre_scan_keeps_the_plain_result(self, family, n, big_m, tol, monkeypatch):
-        # Partial rates stand for the certified pre-scan points; the signs, and so the bracket,
-        # are the full rates'.
+        # Partial rates stand for the certified pre-scan points the search reads only the signs
+        # of; the signs, and so the bracket, are the full rates'.
         code = ConcatSpec(CatCodeSpec(n), CatCodeSpec(big_m, Basis.X))
         assert search._counts(code)[1] >= search.CERTIFIED_PRE_SCAN_CELLS
         want = plain_threshold(family, code, tol)
         res, batch_sizes, certified = counted_threshold(monkeypatch, family, code, tol)
         assert (res.p_star, res.bracket, res.warning) == want
-        assert 0 < res.certified == certified <= batch_sizes[0]
+        assert 0 < res.certified <= certified <= batch_sizes[0]
         assert res.evaluations + res.certified == sum(batch_sizes)
         assert res.batches == len(batch_sizes)
+        # The search reads full rates wherever it reads a value, so it evaluates the points of
+        # a full pre-scan, in as many batches.
+        monkeypatch.setattr(search, "CERTIFIED_PRE_SCAN_CELLS", math.inf)
+        plain = threshold(family, code, tol=tol)
+        assert (res.evaluations + res.certified, res.batches) == (plain.evaluations, plain.batches)
+
+    def test_certified_pre_scan_completes_the_point_before_a_skipped_one(self, monkeypatch):
+        # With the grid points from 12/64 on counted as antidegradable, 3-in-19's crossing runs
+        # from 11/64, the last pre-scan point, whose sign is certified, to a skipped one.
+        # Refinement may read the rates at 10/64 and 11/64, so those two are completed to their
+        # full rates, and the search takes a full pre-scan's path.
+        code = ConcatSpec(CatCodeSpec(3), CatCodeSpec(19, Basis.X))
+        monkeypatch.setattr(search, "_certified", lambda family: tuple(p >= 12 / 64 for p in search._PRE_SCAN_GRID))
+        ps = [0.0] + [i / 64 for i in range(1, 12)]
+        rates, certified = search._pre_scan(DEPOL, code, ps)
+        assert certified == len(ps) - 2
+        assert [x.hex() for x in rates[-2:]] == [x.hex() for x in code_rates(DEPOL, code, ps[-2:])]
+        res = threshold(DEPOL, code, tol=1e-6)
+        monkeypatch.setattr(search, "CERTIFIED_PRE_SCAN_CELLS", math.inf)
+        plain = threshold(DEPOL, code, tol=1e-6)
+        assert (res.p_star, res.bracket, res.warning) == (plain.p_star, plain.bracket, plain.warning)
+        assert (res.evaluations + res.certified, res.batches) == (plain.evaluations, plain.batches)
 
     def test_a_code_below_the_gate_evaluates_its_whole_pre_scan(self, monkeypatch):
         code = ConcatSpec(CatCodeSpec(5), CatCodeSpec(5, Basis.X))
