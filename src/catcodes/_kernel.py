@@ -34,19 +34,18 @@ per-cell multiplicity of syndromes with the first block unflipped,
 prod C(k_t, j_t) (M - |j|) / M, sums over a mirror pair to prod C(k_t, j_t),
 so only the first half of the cells is evaluated.
 
-Compositions are walked in lexicographic order.  The cells of classes 0..n-2
-extend those a composition shares with the previous one, and the last class's
-vector completes them into the composition's C-order cells, written side by side
-with those of the compositions before it into one reused buffer (under a prefix of
-zero counts, as in every cat code, the vector is the cells).  Both products are
-`np.einsum` outer products, np.multiply's IEEE products except that a -0.0 may be
-written as +0.0: only b-cells can be -0.0 and |b| <= a, so a +- b is the same float
-either way.  A run of compositions evaluates the entropies of their first halves
-and mirrors in one pass, in planes of one buffer per call (a composition too large
-for it in chunks of its first half); each composition's sum is one pairwise sum over
-its own cells.  `_add_terms` gives a run's terms, one row per composition; `rate_sums`
-adds them in order, and `cat_sums`, whose codes (each on its own points) are one
-composition each, keeps one row per code.
+Compositions are walked in lexicographic order (`_entries`).  The cells of classes
+0..n-2 extend those a composition shares with the previous one; its entry holds them
+(none under a prefix of zero counts, as in every cat code), the last class's vector and
+both log scales.  `_runs`, the one run former, takes the entries of `rate_sums`' walk or
+of `cat_sums`' codes, one each, and completes each entry's C-order cells, side by side with
+those of the entries before it, in one reused buffer (with no prefix, the vector is the
+cells).  Both products are `np.einsum` outer products, np.multiply's IEEE products except
+that a -0.0 may be written as +0.0: only b-cells can be -0.0 and |b| <= a, so a +- b is the
+same float either way.  A run of compositions evaluates the entropies of their first halves
+and mirrors in one pass, in ten planes of one buffer grown to the largest run (a composition
+too large for it in chunks of its first half); each composition's sum is one pairwise sum
+over its own cells.  `_add_terms` gives a run's rows, one per composition.
 
 A threshold's coarse pre-scan needs only most points' signs, and a composition's term is
 at most its multinomial weight in magnitude (|1 - h| <= 1, and its cells' w sum to that
@@ -69,15 +68,15 @@ from itertools import accumulate
 import numpy as np
 
 TINY = np.finfo(float).tiny
-# Largest points x cells of a run of compositions evaluated together (a larger
-# composition is a run of its own), and of a range of counts of one class's vectors
-# (at the largest count).  A run's planes fit in one 640 KiB buffer per call; the kernel
-# frees no array over 768 KiB, as that raises glibc's mmap threshold for the process
-# (and speeds up the large temporaries of perfbench's probe).  At 1 << 14, one 5-in-16
-# point peaks at 1.64 MB.
+# Largest points x cells of a run of compositions that `_runs` evaluates together (a
+# larger composition is a run of its own), and of a range of counts of one class's vectors
+# (at the largest count).  `_runs` grows one buffer to the largest run's planes, never past
+# 640 KiB: freeing an array over 768 KiB raises glibc's mmap threshold for the process (and
+# speeds up the large temporaries of perfbench's probe).  At 1 << 14, one 5-in-16 point
+# peaks at 1.64 MB.
 CELL_BUDGET = 1 << 13
-# Largest points x cells of the largest composition at once: `rate_sums` evaluates
-# more points in slices, so one large composition does not hold a whole p-grid.
+# Largest points x cells of the largest composition at once: more points go in slices
+# (`_slices`), so one large composition does not hold a whole p-grid.
 SLICE_BUDGET = 1 << 20
 # Largest number of (composition, flip-count) cells one rate evaluation sums
 # over: the work, which grows as C(M + 2n - 1, 2n - 1) for n-in-M.  Admits
@@ -279,12 +278,6 @@ def _add_terms(run: list, flat: np.ndarray) -> np.ndarray:
     return np.exp(np.add(prefix_scale, last_scale)) * sums
 
 
-def _buffer(points: int, halves: int) -> np.ndarray:
-    """The runs' buffer: ten planes of P points x `halves` first-half cells (at least those of
-    the largest run), but at most CELL_BUDGET points x cells (640 KiB) and at least P."""
-    return np.empty(10 * max(points, min(CELL_BUDGET, points * halves)))
-
-
 def _largest_cells(n: int, big_m: int) -> int:
     """Cells of the largest composition of M = big_m blocks over n classes, the most even one."""
     q, r = divmod(big_m, n)
@@ -297,38 +290,39 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
+def _slices(points: int, cells: int) -> list:
+    """The P points in slices of at most SLICE_BUDGET points x `cells` but at least one point."""
+    step = max(1, SLICE_BUDGET // cells)
+    return [slice(i, min(i + step, points)) for i in range(0, points, step)]
+
+
 def rate_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> np.ndarray:
     """Sum of w (1 - h) over all cells at each of the P points, for n classes of log weights
     (n, P) and channels (n, P, 4) over M = big_m blocks: the rate times the number of physical
     qubits per logical qubit.  A code over a cap raises at once (`capped_counts`)."""
     n, points = log_w.shape
     capped_counts(n, big_m)
-    step = max(1, SLICE_BUDGET // _largest_cells(n, big_m))
-    if points > step:
-        return np.concatenate([rate_sums(log_w[:, i:i + step], probs[:, i:i + step], big_m)
-                               for i in range(0, points, step)])
     total = np.zeros(points)
-    if points:
-        for terms in _terms(log_w, probs, big_m, _compositions(big_m, n)):
-            total = _fold(total, terms)
+    for s in _slices(points, _largest_cells(n, big_m)):
+        for terms in _runs(_entries(log_w[:, s], probs[:, s], big_m, _compositions(big_m, n)), s.stop - s.start):
+            total[s] = _fold(total[s], terms)
     return total
 
 
-def _terms(log_w: np.ndarray, probs: np.ndarray, big_m: int, walk):
-    """`rate_sums`' terms of the compositions (first, comp) of `walk`, a subsequence of
-    `_compositions`' order with its own `first` counts, at P >= 1 points: per run of
-    compositions, their rows (run, P).  A composition's row does not depend on the walk."""
+def _entries(log_w: np.ndarray, probs: np.ndarray, big_m: int, walk):
+    """`_runs`' entries of the compositions (first, comp) of `walk`, a subsequence of
+    `_compositions`' order with its own `first` counts, at P >= 1 points: the log scales (P,)
+    of the counts before the last and of the last, the cells (2, P, cells) of those before the
+    last (None if all are 0) and the last class's vector.  An entry does not depend on the walk."""
     n, points = log_w.shape
     classes = list(zip(*factors(probs)))  # six (P,) arrays per class
     # A class's counts are built in ranges of `span` when the walk first takes one; a small
     # code's range holds them all, and a range stays within CELL_BUDGET.
     lo, span = 1 if n > 1 else big_m, max(1, CELL_BUDGET // (points * (big_m + 1)))
-    unit = np.ones((2, points, 1)), np.zeros(points)
-    vectors = [{0: unit} for _ in classes]
+    vectors = [{} for _ in classes[1:]] + [{0: (np.ones((2, points, 1)), np.zeros(points))}]  # a last count of 0
 
     def vector(t: int, k: int) -> tuple:
-        """Class t's scaled vectors at count k and their log scale less lgamma(k + 1), or
-        the unit at k = 0 (a count of 0 carries a grid: 0 * log_w is NaN where w = 0)."""
+        """Class t's scaled vectors at count k and their log scale less lgamma(k + 1)."""
         if k not in vectors[t]:
             a = k - (k - lo) % span
             b = min(a + span - 1, big_m)
@@ -337,36 +331,51 @@ def _terms(log_w: np.ndarray, probs: np.ndarray, big_m: int, walk):
             vectors[t].update(zip(range(a, b + 1), zip(views, counts * log_w[t] + s.T - log_fact)))
         return vectors[t][k]
 
-    # prefix[t]: cell grid (the unit before the first nonzero count) and log scale of the
-    # classes before t, rebuilt from the first count that differs from the previous
-    # composition's.
-    prefix = [(unit[0], np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
-    run, width, work = [], 0, np.empty((2, points, 0))
-    flat = _buffer(points, capped_counts(n, big_m)[1])
+    # prefix[t]: cells (None before the first nonzero count; a count of 0 carries them, as 0 *
+    # log_w is NaN where w = 0) and log scale of the classes before t, from the first changed count.
+    prefix = [(None, np.full(points, math.lgamma(big_m + 1)))] + [None] * (n - 1)
     for first, comp in walk:
         for t, k in enumerate(comp[first:-1], first):
             grid, log_scale = prefix[t]
             if k:
                 vec, log_k = vector(t, k)
-                grid = np.einsum("api,apj->apij", grid, vec).reshape(2, points, -1)
+                grid = vec if grid is None else np.einsum("api,apj->apij", grid, vec).reshape(2, points, -1)
                 log_scale = log_scale + log_k
             prefix[t + 1] = grid, log_scale
         grid, log_scale = prefix[-1]
         vec, log_k = vector(n - 1, comp[-1])
-        cells = grid.shape[-1] * vec.shape[-1]
+        yield log_scale, log_k, grid, vec
+
+
+def _runs(entries, points: int):
+    """The rows (run, P) of `_add_terms` over runs of consecutive `entries` (`_entries`) at P >= 1
+    points, each at most CELL_BUDGET points x cells or one larger composition.  Prefix cells are
+    completed in one reused work buffer, and the runs' planes share one buffer, grown to the
+    largest run yet but never past CELL_BUDGET points x cells (640 KiB) unless P is larger."""
+    run, width, halves, work, flat = [], 0, 0, np.empty((2, points, 0)), np.empty(0)  # halves: first-half cells
+
+    def terms() -> np.ndarray:
+        nonlocal flat
+        if len(flat) < (size := 10 * max(points, min(CELL_BUDGET, points * halves))):  # ten planes
+            flat = None  # freed before the larger one is allocated
+            flat = np.empty(size)
+        return _add_terms(run, flat)
+
+    for prefix_scale, last_scale, grid, vec in entries:
+        cells = vec.shape[-1] * (1 if grid is None else grid.shape[-1])
         if run and points * (width + cells) > CELL_BUDGET:
-            yield _add_terms(run, flat)
-            run, width = [], 0
-        out = vec  # under the unit prefix the cells, as 1.0 x = x
-        if grid is not unit[0]:  # the last class completes the C-order cells in work
+            yield terms()
+            run, width, halves = [], 0, 0
+        out = vec
+        if grid is not None:
             if cells > work.shape[-1]:  # a run within CELL_BUDGET always fits
                 work = np.empty((2, points, max(cells, CELL_BUDGET // points)))
             out = work[..., width:width + cells]
             np.einsum("api,apj->apij", grid, vec, out=out.reshape(2, points, -1, vec.shape[-1]))
-        run.append((log_scale, log_k, out))
-        width += cells
+        run.append((prefix_scale, last_scale, out))
+        width, halves = width + cells, halves + (cells + 1) // 2
     if run:
-        yield _add_terms(run, flat)
+        yield terms()
 
 
 def _walk(comps: list):
@@ -437,14 +446,15 @@ def certified_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> tuple:
             walked.append(comp)
             yield first, comp
 
-    terms = np.concatenate([np.zeros((0, points)), *_terms(log_w, probs, big_m, walk())])
+    terms = np.concatenate([np.zeros((0, points)), *_runs(_entries(log_w, probs, big_m, walk()), points)])
     sums = _fold(np.zeros(points), terms.copy()) if len(terms) else np.zeros(points)
 
     def complete(full: np.ndarray) -> np.ndarray:
         if not full.any():
             return np.zeros(0)
         skipped = [comp[:d + 1] + rest for d, comp in declined for _, rest in _compositions(comp[-1], n - d - 1)]
-        rows = np.concatenate([terms[:, full], *_terms(log_w[:, full], probs[:, full], big_m, _walk(skipped))])
+        entries = _entries(log_w[:, full], probs[:, full], big_m, _walk(skipped))
+        rows = np.concatenate([terms[:, full], *_runs(entries, full.sum())])
         return _fold(np.zeros(rows.shape[1]), rows[np.lexsort(np.array(walked + skipped).T[::-1])])
 
     return sums, np.abs(sums) > remainder + SIGN_MARGIN, complete
@@ -453,31 +463,19 @@ def certified_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> tuple:
 def cat_sums(probs: np.ndarray, lengths) -> np.ndarray:
     """`rate_sums` of cat codes, one class of weight 1 each: code l over lengths[l] blocks on
     channels probs[l] (P, 4), as (L, P) in one pass, each row bit for bit that code's alone.
-    Each code is one composition, and runs of codes in order are formed as in `rate_sums`."""
+    Each code is one entry of `_runs`: the vector and scales of its one composition."""
     points = probs.shape[1]
-    cells = [capped_counts(1, m)[1] for m in lengths]
-    step = max(1, SLICE_BUDGET // max(cells))
-    if points > step:
-        return np.concatenate([cat_sums(probs[:, i:i + step], lengths) for i in range(0, points, step)], 1)
-    if not points:
-        return np.zeros((len(lengths), 0))
-    runs, width = [[]], 0
-    for code, count in enumerate(cells):
-        if runs[-1] and points * (width + count) > CELL_BUDGET:
-            runs.append([])
-            width = 0
-        runs[-1].append(code)
-        width += count
-    flat = _buffer(points, max(sum((cells[code] + 1) // 2 for code in run) for run in runs))
-    classes, rows = factors(probs), []  # six (L, P) arrays
-    for run in runs:
-        terms = []
-        for code in run:
-            [vec], s = _class_vectors([f[code] for f in classes], lengths[code], lengths[code])
-            log_m = math.lgamma(lengths[code] + 1)
-            terms.append((np.full(points, log_m), s[:, 0] - log_m, vec))
-        rows.append(_add_terms(terms, flat))
-    return np.concatenate(rows) + 0.0  # as `rate_sums` adds a code's one term to 0.0 (-0.0 reads +0.0)
+    sums = np.zeros((len(lengths), points))  # 0.0 + each code's term, as in `rate_sums`
+
+    def entries(classes: tuple):  # six (L, P) arrays
+        for code, m in enumerate(lengths):
+            [vec], log_s = _class_vectors([f[code] for f in classes], m, m)
+            log_m = math.lgamma(m + 1)
+            yield np.full(vec.shape[1], log_m), log_s[:, 0] - log_m, None, vec
+
+    for s in _slices(points, max(capped_counts(1, m)[1] for m in lengths)):
+        sums[:, s] += np.concatenate([*_runs(entries(factors(probs[:, s])), s.stop - s.start)])
+    return sums
 
 
 def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,11 @@ quantities are computed over the m weight classes instead of the 2^(m-1)
 syndrome vectors.
 
 Everything here comes from the shared numpy kernel (`_kernel`).  `_cats_rates` is
-its one-class rate sum of several codes in one pass, each over the rows of its own
-(P, 4) probability array in the code's frame (`_frame`, the one slot rule of cat,
-inner and outer codes); `_cat_rates` is that pass at one code, and `cat_rate` at
+its one-class rate sum of several codes in one pass (`_kernel.cat_sums`: each code is
+one entry of the run former that concatenated codes' compositions go through too, and
+its row is bit for bit `rate_sums` of one class of log weight 0), each over the rows of
+its own (P, 4) probability array in the code's frame (`_frame`, the one slot rule of
+cat, inner and outer codes); `_cat_rates` is that pass at one code, and `cat_rate` at
 one channel.  `syndrome_classes`, `joint_prob` and `induced_channel`
 read the class probabilities from the sum of the kernel's unscaled log-domain terms
 over flip counts (`_kernel.log_vectors`), and `joint_prob_hetero` forms the same

@@ -78,6 +78,7 @@ def test_length_4096_matches_high_precision(family, p):
     assert abs(got - mp_cat_rate(ch, 4096)) <= 1e-15
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize(
     "code",
     [
@@ -304,6 +305,7 @@ def test_a_large_p_grid_is_evaluated_in_slices_of_bounded_memory():
     assert hexes(got) == hexes(np.concatenate([code_rates(DEPOL, code, ps[i:i + 64]) for i in range(0, 1024, 64)]))
 
 
+@pytest.mark.dispatch
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), big_m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=20))
@@ -326,6 +328,7 @@ def edge_classes(probs: np.ndarray) -> list:
     return [_kernel.factors(probs)] + [_kernel.factors(c) for c in cond]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("points", [1, 17])
 def test_class_tables_equal_the_per_count_reference(points):
     # A class's tables, built over a range of counts in one pass, hold per count the bits
@@ -348,6 +351,7 @@ def test_class_tables_equal_the_per_count_reference(points):
                 assert np.array_equal(float_bits(s_k), float_bits(want[k][1]))
 
 
+@pytest.mark.dispatch
 def test_the_sign_of_a_zero_b_cell_does_not_change_the_conditionals():
     # rate_sums forms its outer products with np.einsum, which computes each cell as
     # np.multiply's one IEEE product but may write +0.0 where that product is -0.0.
@@ -397,6 +401,7 @@ PAPER_SCALE = [
 ]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("n,big_m,p,want", PAPER_SCALE)
 def test_paper_scale_depolarizing_rates_are_frozen(n, big_m, p, want):
     spec = ConcatSpec(CatCodeSpec(n, Basis.Z), CatCodeSpec(big_m, Basis.X))
@@ -436,6 +441,7 @@ def test_two_in_two_hundred_keeps_its_memory_small():
     assert peak <= 7.88e6 * 1.1
 
 
+@pytest.mark.dispatch
 def test_several_cat_codes_in_one_pass_equal_each_code_alone(monkeypatch):
     # `_cats_rates` evaluates several cat codes, each on its own points, in one kernel pass;
     # each row must be `_cat_rates` of that code alone, bit for bit.  Rounds: lengths 1 in
@@ -491,6 +497,51 @@ def test_a_lockstep_scan_keeps_its_memory_small():
     assert peak <= 1.93e6 * 1.1
 
 
+@pytest.mark.dispatch
+def test_each_cat_sums_row_is_rate_sums_of_one_class():
+    # A cat code is the one-class case of the rate sum, of log weight 0 over M = m blocks, which
+    # is what lets `cat_sums` and `rate_sums` share one run former: each row must be that
+    # `rate_sums` bit for bit.  Each code reads its own points, at 37 points (the 1000-cat's
+    # first half in chunks) and at one point per channel.
+    probs = np.array([ch.probs for ch in random_channels(20261021, 30) + EDGE_CHANNELS])
+    lengths = [1, 2, 3, 40, 1000, 4096]
+    assert len(probs) * (1000 + 2) // 2 > _kernel.CELL_BUDGET
+    for picks in [np.arange(len(probs))] + [np.array([i]) for i in range(len(probs))]:
+        rows = np.array([probs[(picks + code) % len(probs)] for code in range(len(lengths))])
+        got = _kernel.cat_sums(rows, lengths)
+        assert got.shape == (len(lengths), len(picks))
+        for m, row, sums in zip(lengths, rows, got):
+            assert hexes(sums) == hexes(_kernel.rate_sums(np.zeros((1, len(picks))), row[None], m))
+
+
+@pytest.mark.dispatch
+def test_the_run_former_hands_add_terms_no_buffer_over_the_cell_budget(monkeypatch):
+    # The kernel frees no array over 768 KiB (see CELL_BUDGET), so the planes' buffer, which
+    # grows with the runs, must stay within ten planes of CELL_BUDGET points x cells (640 KiB):
+    # at one 5-in-16 point and a 17-point batch, at 81 points of 3-in-19, whose largest
+    # compositions take their first halves in chunks at the full size, and over the lockstep
+    # scan of m = 1..200.
+    sizes = []
+    add_terms = _kernel._add_terms
+
+    def recorded(run, flat):
+        sizes.append(len(flat))
+        return add_terms(run, flat)
+
+    monkeypatch.setattr(_kernel, "_add_terms", recorded)
+    five_in_sixteen = ConcatSpec(CatCodeSpec(5, Basis.Z), CatCodeSpec(16, Basis.X))
+    code_rates(DEPOL, five_in_sixteen, [0.1905])
+    code_rates(DEPOL, five_in_sixteen, [0.17 + 0.002 * i for i in range(17)])
+    three_in_nineteen = ConcatSpec(CatCodeSpec(3, Basis.Z), CatCodeSpec(19, Basis.X))
+    assert 81 * (8 * 7 * 7 // 2) > _kernel.CELL_BUDGET
+    code_rates(DEPOL, three_in_nineteen, [0.3 * i / 80 for i in range(81)])
+    assert max(sizes) == 10 * _kernel.CELL_BUDGET
+    sizes.clear()
+    best_threshold_scan(NINE_TO_ONE, Basis.Z, range(1, 201), tol=1e-8)
+    assert len(sizes) > 32 and max(sizes) <= 10 * _kernel.CELL_BUDGET
+
+
+@pytest.mark.dispatch
 def test_pruned_walk_is_a_subsequence_of_the_lexicographic_order():
     # A predicate that depends only on the subtree's prefix declines whole subtrees: the walk
     # yields exactly the compositions none of whose prefixes it declines, in the full order,
@@ -541,6 +592,7 @@ def pruned(log_w, big_m, level=None):
     return [comp for _, comp in _compositions(big_m, n, keep)], remainder, declined
 
 
+@pytest.mark.dispatch
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 6), big_m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
        level=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-5]),
@@ -560,6 +612,7 @@ def test_visited_and_skipped_weights_add_up_to_one(n, big_m, seed, level, picks)
                        for _, rest in _compositions(first[-1], n - d - 1)]
 
 
+@pytest.mark.dispatch
 def test_a_walk_of_any_subsequence_gives_the_firsts_of_the_full_walk():
     # `_walk` gives a subsequence of the full order the `first` counts `_compositions` gives it.
     rng = np.random.default_rng(7)
@@ -573,13 +626,14 @@ def test_a_walk_of_any_subsequence_gives_the_firsts_of_the_full_walk():
 
 
 def walk_sums(log_w, cond, big_m, walk):
-    """The in-order sums of `_kernel._terms`' rows over `walk`."""
+    """The in-order sums of the run former's rows over the entries of `walk`."""
     total = np.zeros(log_w.shape[1])
-    for terms in _kernel._terms(log_w, cond, big_m, walk):
+    for terms in _kernel._runs(_kernel._entries(log_w, cond, big_m, walk), log_w.shape[1]):
         total = _kernel._fold(total, terms)
     return total
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("n,big_m", [(3, 5), (4, 7), (3, 19)])
 def test_an_unpruned_walk_gives_the_bits_of_rate_sums(n, big_m, channels20):
     probs = np.array([ch.probs for ch in channels20 + EDGE_CHANNELS])
@@ -592,6 +646,7 @@ def test_an_unpruned_walk_gives_the_bits_of_rate_sums(n, big_m, channels20):
 CERTIFIED_CODES = [(2, 61), (3, 19), (5, 9), (4, 12), (3, 20)]
 
 
+@pytest.mark.dispatch
 @settings(max_examples=30, deadline=None)
 @given(code=st.sampled_from(CERTIFIED_CODES), seed=st.integers(0, 2**32 - 1),
        picks=st.lists(st.integers(0, len(EDGE_CHANNELS) + 3), min_size=1, max_size=8),
@@ -615,6 +670,7 @@ def test_certified_signs_are_those_of_the_full_sums(code, seed, picks, mask):
     assert hexes(complete(np.ones(len(picks), bool))) == hexes(full)
 
 
+@pytest.mark.dispatch
 def test_a_near_zero_point_falls_back_to_its_full_sum():
     # Two-Pauli noise at p = 1 gives 3-in-19 a rate of about 1e-20, well inside the margin, so
     # no partial sum certifies its sign; p = 0 and p = 0.1 are certified.  Its completion must
@@ -633,6 +689,7 @@ def test_a_near_zero_point_falls_back_to_its_full_sum():
     assert not certified.any() and hexes(complete(~certified)) == hexes(full)
 
 
+@pytest.mark.dispatch
 def test_a_point_within_its_remainder_is_not_certified():
     # On the 9:1 family, 3-in-19's rates at p = 0.2 to 0.3 are 1e-3 to 1e-6 on the sum, well
     # past the margin but within what the pruned walk skips, so only p = 0 is certified.
@@ -647,6 +704,7 @@ def test_a_point_within_its_remainder_is_not_certified():
     assert hexes(complete(~certified)) == hexes(full[1:])
 
 
+@pytest.mark.dispatch
 def test_a_batch_that_needs_slices_is_not_pruned(monkeypatch):
     # The pruner's tables span the whole batch, so a batch that `rate_sums` would cut into
     # slices is summed in full, and no point counts as certified.

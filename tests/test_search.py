@@ -139,6 +139,7 @@ class TestThreshold:
         assert res.warning.startswith("2 sign changes")
         assert abs(res.p_star - 0.24) <= 1e-6
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize(
         "family,code,tol",
         [
@@ -299,6 +300,7 @@ class TestThreshold:
         assert (res.batches, res.evaluations) == (6, 96)
 
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("tol", [1e-5, 1e-6])
     @pytest.mark.parametrize(
         "family,n,big_m",
@@ -323,6 +325,7 @@ class TestThreshold:
         plain = threshold(family, code, tol=tol)
         assert (res.evaluations + res.certified, res.batches) == (plain.evaluations, plain.batches)
 
+    @pytest.mark.dispatch
     def test_certified_pre_scan_completes_the_point_before_a_skipped_one(self, monkeypatch):
         # With the grid points from 12/64 on counted as antidegradable, 3-in-19's crossing runs
         # from 11/64, the last pre-scan point, whose sign is certified, to a skipped one.
@@ -410,6 +413,7 @@ LOCKSTEP_FAMILIES = [DEPOL, TWO_PAULI, NINE_TO_ONE, make_family("independent_xz_
                      DEPHASING, make_family("custom_ray", {"ex": 1.0, "ey": 0.5, "ez": 0.2})]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("tol", [1e-8, 1e-5])
 @pytest.mark.parametrize("basis", list(Basis))
 @pytest.mark.parametrize("family", LOCKSTEP_FAMILIES, ids=lambda f: f"{f.kind}{dict(f.params)}")
