@@ -222,8 +222,8 @@ def _pre_scan(family: ChannelFamily, code: CodeSpec, ps: list) -> tuple:
 def _search(family: ChannelFamily, tol: float):
     """`threshold`'s search for one code as a generator: yields each batch's points (a list),
     is sent their rates, and returns the `ThresholdResult`."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     scan = [p for p, skip in zip(_PRE_SCAN_GRID, _certified(family)) if not skip]
     known = dict(zip([0.0] + scan, map(float, (yield [0.0] + scan))))
     batches = 1

@@ -249,6 +249,7 @@ class TestExitCodes:
             ["threshold", "--channel", "depolarizing:p=0", "--code", "hashing", "--tol", "0"],
             ["rate", "--channel", "depolarizing:p=nan", "--code", "hashing"],
             ["threshold", "--channel", "depolarizing:p=0", "--code", "hashing", "--tol", "nan"],
+            ["threshold", "--channel", "depolarizing:p=0", "--code", "cat:m=3", "--tol", "inf"],
         ):
             assert main(argv) == EXIT_DOMAIN
             assert capsys.readouterr().err.startswith("error: ")

@@ -27,7 +27,13 @@ from catcodes import (
     natural_rep,
     solve_degrading,
 )
-from catcodes.degradable import MalformedMapError
+from catcodes.degradable import (
+    CONDITION_LIMIT,
+    PSD_TOL,
+    RESIDUAL_TOL,
+    DegradabilityVerdict,
+    MalformedMapError,
+)
 from catcodes.oracle import oracle_cat_rate
 from catcodes.search import PRE_SCAN_POINTS
 
@@ -84,6 +90,18 @@ def amplitude_damping(gamma: float) -> KrausSet:
     )
 
 
+def erasure(eps: float) -> KrausSet:
+    """Qubit erasure into a third output level |2>."""
+    keep, erase = math.sqrt(1 - eps), math.sqrt(eps)
+    return KrausSet.from_matrices(
+        [[[keep, 0], [0, keep], [0, 0]], [[0, 0], [0, 0], [erase, 0]], [[0, 0], [0, 0], [0, erase]]]
+    )
+
+
+# N(rho) = tr(rho) |0><0|: N has rank one.
+REPLACEMENT = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+
+
 def env_reordered(matrix: np.ndarray) -> np.ndarray:
     """Reorder 9-dim (3x3 matrix-unit) indices from Kraus order to the
     reference order used above."""
@@ -127,6 +145,21 @@ class TestFromMatrices:
     def test_not_trace_preserving_rejected(self):
         with pytest.raises(ValueError, match="not trace preserving"):
             KrausSet.from_matrices([np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_operators_rejected(self, entry):
+        with pytest.raises(ValueError, match="must be finite"):
+            KrausSet.from_matrices([[[entry, 0], [0, 1]]])
+        with pytest.raises(ValueError, match="must be finite"):
+            KrausSet.from_matrices([[[1, 0], [0, 1]], [[0, 0], [entry, 0]]])
+
+    def test_overflowing_operators_rejected(self):
+        # Finite entries whose products overflow give a NaN residual, which is not
+        # above any tolerance, so the check must reject it itself.
+        big = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not trace preserving"):
+                KrausSet.from_matrices([[[big, -big], [big, big]]])
 
     def test_operators_are_one_stacked_array(self):
         k = amplitude_damping(0.3)
@@ -299,7 +332,7 @@ class TestVerdict:
     def test_replacement_channel_with_singular_n_not_degradable(self):
         # N(rho) = tr(rho) |0><0| has rank one, so cond(N) is infinite; the
         # condition test must not divide by N's zero singular values.
-        k = KrausSet.from_matrices([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+        k = KrausSet.from_matrices(REPLACEMENT)
         assert np.linalg.matrix_rank(natural_rep(k).matrix) == 1
         assert degradability_verdict(k).status == "not_degradable"
 
@@ -308,10 +341,7 @@ class TestVerdict:
         # rank, so N D = N^C has an affine family of solutions, and the
         # least-squares member is not PSD.
         eps = 0.25
-        keep, erase = math.sqrt(1 - eps), math.sqrt(eps)
-        k = KrausSet.from_matrices(
-            [[[keep, 0], [0, keep], [0, 0]], [[0, 0], [0, 0], [erase, 0]], [[0, 0], [0, 0], [0, erase]]]
-        )
+        k = erasure(eps)
         verdict = degradability_verdict(k)
         assert verdict.residual <= 1e-12 and verdict.min_choi_eigenvalue < -1e-3
         assert verdict.status == "inconclusive"
@@ -331,6 +361,39 @@ class TestVerdict:
         assert np.linalg.norm(n.matrix @ witness.matrix - nc.matrix) <= 1e-12
         assert np.linalg.eigvalsh(choi_of_map(witness)).min() >= -1e-12
 
+    @pytest.mark.dispatch
+    def test_equals_its_public_steps_bit_for_bit(self):
+        rng = np.random.default_rng(20261020)
+        lines = [
+            make_family("custom_ray", {"ez": 1.0}),
+            make_family("custom_ray", {"ex": 1.0}),
+            TWO_PAULI,
+            make_family("depolarizing"),
+        ]
+        sets = [kraus_from_pauli(evaluate_family(fam, p)) for fam in lines for p in rng.uniform(0.0, 0.5, 60)]
+        sets += [amplitude_damping(g) for g in (0.1, 0.3, 0.6)]
+        sets += [erasure(0.25), kraus_from_pauli(IDENTITY), KrausSet.from_matrices(REPLACEMENT)]
+        # Dense complex sets, on which every entry of N and N^C sums several nonzero
+        # terms, so that the order of each sum shows in the bits.
+        for n in (3, 5):
+            q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2)))
+            sets.append(KrausSet.from_matrices(q.reshape(n, 2, 2)))
+        for k in sets:
+            verdict = degradability_verdict(k)
+            ref = reference_verdict(k)
+            assert (verdict.status, verdict.note) == (ref.status, ref.note)
+            for got, want in [
+                (verdict.residual, ref.residual),
+                (verdict.min_choi_eigenvalue, ref.min_choi_eigenvalue),
+                (verdict.solved_map.matrix, ref.solved_map.matrix),
+            ]:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert verdict.solved_map.matrix.shape == ref.solved_map.matrix.shape
+            assert (verdict.solved_map.dim_in, verdict.solved_map.dim_out) == (
+                ref.solved_map.dim_in,
+                ref.solved_map.dim_out,
+            )
+
     def test_record_is_json_serializable(self):
         import json
 
@@ -340,6 +403,26 @@ class TestVerdict:
         record = verdict.to_record()
         text = json.dumps(record)
         assert "not_degradable" in text
+
+
+def reference_verdict(k: KrausSet) -> DegradabilityVerdict:
+    """`degradability_verdict` from the public steps: the complement as its own
+    checked Kraus set, the least-squares map, its Choi matrix and eigenvalues."""
+    n, nc = natural_rep(k), natural_rep(complementary(k))
+    d, residual = solve_degrading(n, nc)
+    min_eig = float(np.linalg.eigvalsh(choi_of_map(d))[0])
+    singular = np.linalg.lstsq(n.matrix, nc.matrix, rcond=None)[3]
+    unique = len(singular) == n.matrix.shape[1] and singular[0] < CONDITION_LIMIT * singular[-1]
+    if residual > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(nc.matrix))):
+        return DegradabilityVerdict(
+            "not_degradable", residual, min_eig, d, "the degrading equation N D = N^C has no solution"
+        )
+    if min_eig >= PSD_TOL:
+        return DegradabilityVerdict("degradable", residual, min_eig, d)
+    if unique:
+        return DegradabilityVerdict("not_degradable", residual, min_eig, d)
+    note = "N D = N^C has no unique solution; the least-squares map is one of an affine family"
+    return DegradabilityVerdict("inconclusive", residual, min_eig, d, note)
 
 
 # Pauli channels from four nonnegative weights, normalized.
