@@ -7,16 +7,15 @@ least-squares D and the verdict checks the residual together with positivity
 of D's Choi matrix.  A strictly negative Choi eigenvalue with a tiny residual
 certifies non-degradability only when N D = N^C has one solution.
 
-The verdict forms N and N^C as two contractions of the stacked Kraus array
-that `KrausSet.from_matrices` checked, without building or re-checking the
-complement as a second Kraus set; its outputs have the bits of the public
-steps run one by one.
+A Kraus set is checked when it is built: finite and trace preserving.  The
+complement of a checked set is not checked again, so the verdict's N^C costs
+one transposed copy of the stacked array and no second check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,11 +43,29 @@ class MalformedMapError(ValueError):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of a channel, stacked as one (n, dim_out, dim_in) array."""
+    """Kraus operators of a channel, stacked as one (n, dim_out, dim_in) array.
+
+    Building a set checks that its operators are finite and trace preserving
+    to `TRACE_TOL`.  Only a set derived from a checked one passes
+    `_checked=True` to skip the check.
+    """
 
     ops: np.ndarray
     dim_in: int
     dim_out: int
+    _checked: InitVar[bool] = False
+
+    def __post_init__(self, _checked: bool) -> None:
+        if _checked:
+            return
+        if self.ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(f"Kraus operators must be a stack of {self.dim_out} x {self.dim_in} matrices")
+        if not np.isfinite(self.ops).all():
+            raise ValueError("Kraus operators must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives a NaN or inf residual
+            res = self.trace_preservation_residual()
+        if not res <= TRACE_TOL:
+            raise ValueError(f"Kraus set is not trace preserving (residual {res})")
 
     @staticmethod
     def from_matrices(ops) -> "KrausSet":
@@ -60,13 +77,7 @@ class KrausSet:
             raise ValueError("a Kraus set needs at least one operator")
         if mats.ndim != 3:
             raise ValueError("Kraus operators must share one shape")
-        if not np.isfinite(mats).all():
-            raise ValueError("Kraus operators must be finite")
-        k = KrausSet(mats, mats.shape[2], mats.shape[1])
-        res = k.trace_preservation_residual()
-        if not res <= TRACE_TOL:  # also a NaN residual, from products that overflow
-            raise ValueError(f"Kraus set is not trace preserving (residual {res})")
-        return k
+        return KrausSet(mats, mats.shape[2], mats.shape[1])
 
     def trace_preservation_residual(self) -> float:
         acc = (self.ops.conj().transpose(0, 2, 1) @ self.ops).sum(axis=0)
@@ -101,23 +112,12 @@ def kraus_from_pauli(ch: PauliChannel) -> KrausSet:
     return KrausSet.from_matrices(np.sqrt(probs[keep])[:, None, None] * PAULIS[keep])
 
 
-# N(|i><j|) = K |i><j| K^dag has (k, l) coefficient K[k,i] conj(K[l,j]); N sums
-# these products over the operators n.  The complement's natural rep sums the
-# same products over the output index k instead, with the Kraus indices (m, n)
-# as its output unit, which is `natural_rep(complementary(k))` term for term.
-_N_TERMS = "nki,nlj->nijkl"
-_NC_TERMS = "mki,nkj->kijmn"
-
-
-def _summed(subscripts: str, ops: np.ndarray, conj: np.ndarray, dim_in: int) -> np.ndarray:
-    """Matrix-unit-basis matrix whose rows are the dim_in**2 input units: the
-    products `subscripts` names, summed in order over their leading index."""
-    return np.einsum(subscripts, ops, conj).sum(axis=0).reshape(dim_in**2, -1)
-
-
 def natural_rep(k: KrausSet) -> ChannelMatrixRep:
     """Matrix-unit-basis matrix of the channel: M[ij, kl] = sum_K K[k,i] conj(K[l,j])."""
-    return ChannelMatrixRep(_summed(_N_TERMS, k.ops, k.ops.conj(), k.dim_in), k.dim_in, k.dim_out)
+    # N(|i><j|) = K |i><j| K^dag has (k, l) coefficient K[k,i] conj(K[l,j]);
+    # the sum adds the operators' terms in order.
+    terms = np.einsum("nki,nlj->nijkl", k.ops, k.ops.conj())
+    return ChannelMatrixRep(terms.sum(axis=0).reshape(k.dim_in**2, k.dim_out**2), k.dim_in, k.dim_out)
 
 
 def complementary(k: KrausSet) -> KrausSet:
@@ -126,14 +126,21 @@ def complementary(k: KrausSet) -> KrausSet:
     With U = sum_k E_k (x) |k>_E, tracing out the original output leaves Kraus
     operators F_j with F_j[k, i] = E_k[j, i]; the environment dimension equals
     the number of Kraus operators and its basis is ordered by Kraus index.
+    The complement of a checked set is not checked again: its trace residual
+    sums the same products as k's, in another order.
     """
-    return KrausSet.from_matrices(k.ops.transpose(1, 0, 2))
+    # A contiguous copy, which `natural_rep` contracts faster than the strided
+    # view, to the same bits.
+    return KrausSet(np.ascontiguousarray(k.ops.transpose(1, 0, 2)), k.dim_in, len(k.ops), _checked=True)
 
 
-def _least_squares(n_mat: np.ndarray, nc_mat: np.ndarray):
-    """Least-squares D of N D = N^C, the residual ||N D - N^C||_F and the singular values of N."""
-    d_mat, _, _, singular = np.linalg.lstsq(n_mat, nc_mat, rcond=None)
-    return d_mat, float(np.linalg.norm(n_mat @ d_mat - nc_mat)), singular
+def _least_squares(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
+    """`solve_degrading`'s map and residual, and the singular values of N."""
+    if n_rep.dim_in != nc_rep.dim_in:
+        raise ValueError("N and N^C must share the input dimension")
+    d_mat, _, _, singular = np.linalg.lstsq(n_rep.matrix, nc_rep.matrix, rcond=None)
+    residual = float(np.linalg.norm(n_rep.matrix @ d_mat - nc_rep.matrix))
+    return ChannelMatrixRep(d_mat, n_rep.dim_out, nc_rep.dim_out), residual, singular
 
 
 def solve_degrading(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
@@ -142,10 +149,7 @@ def solve_degrading(n_rep: ChannelMatrixRep, nc_rep: ChannelMatrixRep):
     The solution is unique when N has full column rank; otherwise (N singular,
     or wider than tall) it is one member of the affine solution family.
     """
-    if n_rep.dim_in != nc_rep.dim_in:
-        raise ValueError("N and N^C must share the input dimension")
-    d_mat, residual, _ = _least_squares(n_rep.matrix, nc_rep.matrix)
-    return ChannelMatrixRep(d_mat, n_rep.dim_out, nc_rep.dim_out), residual
+    return _least_squares(n_rep, nc_rep)[:2]
 
 
 def choi_of_map(rep: ChannelMatrixRep) -> np.ndarray:
@@ -199,18 +203,15 @@ def degradability_verdict(k: KrausSet) -> DegradabilityVerdict:
     full, well-conditioned column rank, since other members of the affine
     solution family were not examined.
     """
-    # The complement of a checked set is trace preserving, so it is not built
-    # or checked again: N^C is a second contraction of the same array.
-    conj = k.ops.conj()
-    n_mat = _summed(_N_TERMS, k.ops, conj, k.dim_in)
-    nc_mat = _summed(_NC_TERMS, k.ops, conj, k.dim_in)
-    d_mat, residual, singular = _least_squares(n_mat, nc_mat)
-    d_rep = ChannelMatrixRep(d_mat, k.dim_out, len(k.ops))
-    min_eig = float(np.linalg.eigvalsh(choi_of_map(d_rep))[0])
+    n_rep = natural_rep(k)
+    nc_rep = natural_rep(complementary(k))
+    d_rep, residual, singular = _least_squares(n_rep, nc_rep)
+    choi = choi_of_map(d_rep)
+    min_eig = float(np.linalg.eigvalsh(choi)[0])
     # One solution: full column rank (a wide N has fewer singular values than columns)
     # and cond(N) < CONDITION_LIMIT, without dividing by a zero singular value.
-    unique = len(singular) == n_mat.shape[1] and singular[0] < CONDITION_LIMIT * singular[-1]
-    solvable = residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(nc_mat)))
+    unique = len(singular) == n_rep.matrix.shape[1] and singular[0] < CONDITION_LIMIT * singular[-1]
+    solvable = residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(nc_rep.matrix)))
     if solvable and min_eig >= PSD_TOL:
         status, note = "degradable", None
     elif not solvable:
