@@ -16,17 +16,18 @@ the one-class case (w = 1, M = m); a concatenated code's classes are the
 inner code's syndrome-weight classes (`inner_ensemble`).
 
 Class arrays are (n, P, ...), so one call evaluates a whole p-grid: `rate_sums`
-takes the classes' log weights (n, P) and channels (n, P, 4), and `factors`
-derives their logs and signs.  Reductions run over the last, contiguous axis and
-all other operations are elementwise, so a point's rate does not depend on the
-batch it is evaluated in.  Per class, the p-dependent vectors over j_t are built a
-range of counts k_t at a time (a small code's counts in one range), in log domain
-with log binomials from `math.lgamma`, their p-independent parts cached per range.
-The builder divides each count's vector by its maximum, so lengths in the thousands
-neither underflow nor overflow, and returns the log s of that maximum; each caller
-adds its own scale terms (`rate_sums`: k_t log w_t + s - lgamma(k_t + 1)).  A cell's
-products are then plain products of these vectors, taken in class order, and
-conditional probabilities are ratios of the cell's own four values.
+takes the classes' log weights (n, P) and channels (n, P, 4), and `factors` derives
+their logs and signs.  Reductions run over the last, contiguous axis and all other
+operations are elementwise, so a point's rate does not depend on the batch it is
+evaluated in.  The p-dependent vectors over j_t are built in log domain, with log
+binomials from `math.lgamma`, as one table over segments of counts, each of its own
+class: a range of one class's counts k_t, or in `cat_sums` a group of codes, one
+count each; their p-independent parts are cached per list of segments.  The builder
+divides each count's vector by its maximum, so lengths in the thousands neither
+underflow nor overflow, and returns the log s of that maximum; each caller adds its
+own scale terms (`rate_sums`: k_t log w_t + s - lgamma(k_t + 1)).  A cell's products
+are then plain products of these vectors, taken in class order, and conditional
+probabilities are ratios of the cell's own four values.
 
 Flipping every block maps cell j to its mirror k - j and swaps (a0, b0) with
 (a1, b1), which leaves the weight a0 + a1 and the entropy unchanged.  The
@@ -61,19 +62,20 @@ the full order: `rate_sums`' bits, with each composition evaluated once.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
 TINY = np.finfo(float).tiny
-# Largest points x cells of a run of compositions that `_runs` evaluates together (a
-# larger composition is a run of its own), and of a range of counts of one class's vectors
-# (at the largest count).  `_runs` grows one buffer to the largest run's planes, never past
-# 640 KiB: freeing an array over 768 KiB raises glibc's mmap threshold for the process (and
-# speeds up the large temporaries of perfbench's probe).  At 1 << 14, one 5-in-16 point
-# peaks at 1.64 MB.
+# Largest points x cells of a run of compositions that `_runs` evaluates together (a larger
+# composition is a run of its own), and of a table of class vectors (a range of one class's
+# counts, at the largest count, or a group of cat codes).  `_runs` grows one buffer to the
+# largest run's planes, never past 640 KiB: freeing an array over 768 KiB raises glibc's
+# mmap threshold for the process (and speeds up the large temporaries of perfbench's probe).
+# At 1 << 14, one 5-in-16 point peaks at 1.64 MB.
 CELL_BUDGET = 1 << 13
 # Largest points x cells of the largest composition at once: more points go in slices
 # (`_slices`), so one large composition does not hold a whole p-grid.
@@ -154,26 +156,36 @@ def _compositions(total: int, parts: int, keep=None):
         entered, t = t - 1, parts - 1 if comp[-1] else t - 1
 
 
-@functools.lru_cache(maxsize=64)
-def _cells(lo: int, hi: int) -> tuple:
-    """The p-independent parts of the flip-count vectors of counts k = lo..hi >= 1, whose
-    cells (k, j), j = 0..k, lie side by side, shared by every caller and read-only: per
-    cell, j and k - j as (2, 1, cells), where they are > 0, log C(k, j), and the signs of
-    b0 (4, cells) where neither, only bbar, only beta or both of beta and bbar are < 0;
-    per count as (counts, 1), k + 1, k and lgamma(k + 1); and each count's first cell."""
-    counts = np.arange(lo, hi + 1)
+def _cells(spans: tuple) -> tuple:
+    """`_parts(spans)`, cached apart for one segment (64: figure1 takes 40) and for several (16: a
+    9:1 scan of lengths 1..40 takes 7).  One cache of 64 for both held more group tables than the
+    memory tests allow: a 9:1 scan of lengths 1..200 peaked at 2.23 MB under tracemalloc."""
+    return (_one_span if len(spans) == 1 else _spans)(spans)
+
+
+def _parts(spans: tuple) -> tuple:
+    """The p-independent parts of the flip-count vectors of segments (lo, hi) of counts k >= 1,
+    whose cells (k, j), j = 0..k, lie side by side, shared by every caller and read-only: per
+    cell, j and k - j (2, cells), where they are 0, log C(k, j), and (-1)^j and (-1)^(k-j) as
+    int8 (2, cells); per count, k + 1 and as (counts, 1) k and lgamma(k + 1); per segment, its
+    cells; per count, its first cell and slice."""
+    counts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
     starts = np.cumsum(counts + 1) - (counts + 1)
     k = np.repeat(counts, counts + 1)
     j = np.arange(len(k)) - np.repeat(starts, counts + 1)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(hi + 1)])
+    log_fact = np.array([math.lgamma(i + 1) for i in range(counts.max() + 1)])
     log_c = log_fact[k] - (log_fact[j] + log_fact[k - j])  # exactly symmetric in j <-> k - j
-    sign_j, sign_k_less_j = np.where(np.array([j, k - j]) % 2, -1.0, 1.0)  # (-1)^j, (-1)^(k-j)
-    signs = np.array([np.ones(len(k)), sign_k_less_j, sign_j, sign_j * sign_k_less_j])
-    index = np.array([j, k - j], dtype=float)[:, None]
-    parts = index, index > 0, log_c, signs, counts + 1, counts[:, None], log_fact[counts, None]
+    index = np.array([j, k - j], dtype=np.int32)  # exact as float64 factors, in half the bytes
+    alternating = np.where(index % 2, -1, 1).astype(np.int8)  # (-1)^j, (-1)^(k-j)
+    widths = np.array([(hi + 1) * (hi + 2) // 2 - lo * (lo + 1) // 2 for lo, hi in spans])
+    parts = index, index == 0, log_c, alternating, counts + 1, counts[:, None], log_fact[counts, None]
+    parts += widths, starts
     for part in parts:
         part.flags.writeable = False
-    return *parts, tuple(starts.tolist())
+    return *parts, tuple(map(slice, starts.tolist(), (starts + counts + 1).tolist()))
+
+
+_one_span, _spans = functools.lru_cache(maxsize=64)(_parts), functools.lru_cache(maxsize=16)(_parts)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -189,31 +201,37 @@ def factors(probs: np.ndarray) -> tuple:
             beta < 0.0, bbar < 0.0)
 
 
-def log_vectors(factors: tuple, lo: int, hi: int) -> tuple:
-    """The unscaled log a0 and log |b0| of one class with `factors` at P points over the
-    cells of `_cells(lo, hi)` as two terms, each (2, P, cells): j log alpha and j log |beta|,
-    and (k - j) log abar and (k - j) log |bbar|; and the sign of b0 (+1.0 or -1.0), (P, cells)."""
-    index, positive, _, signs = _cells(lo, hi)[:4]
-    # alpha and |beta| to the j, abar and |bbar| to the k - j; 0 at 0 even where x = 0
-    log_x = np.array(factors[:4]).reshape(2, 2, -1, 1)
-    powers = np.multiply(log_x, index, out=np.zeros(log_x.shape[:3] + index.shape[-1:]), where=positive)
-    return powers[:, 0], powers[:, 1], signs[2 * factors[4] + factors[5]]
+def log_vectors(factors: tuple, spans: tuple) -> tuple:
+    """The unscaled log a0 and log |b0| over the cells of `_cells(spans)`, segment i of the counts
+    at row i of `factors` (six (S, P) arrays: a class at P points per segment) as two terms, each
+    (2, P, cells): j log alpha and j log |beta|, and (k - j) log abar and (k - j) log |bbar|; and
+    the sign of b0 (+1 or -1), (P, cells)."""
+    index, zero, _, alternating, *_, widths, _, _ = _cells(spans)
+    # (-1)^j where beta < 0 times (-1)^(k-j) where bbar < 0, each segment's row over its cells
+    sign = np.where(np.array(factors[4:]).transpose(0, 2, 1).repeat(widths, -1), alternating[:, None], 1)
+    sign = sign[0] * sign[1]
+    terms = []
+    for logs, power, at_zero in zip((factors[0:4:2], factors[1:4:2]), index, zero):
+        x = np.array(logs).transpose(0, 2, 1).repeat(widths, -1)  # each segment's row over its cells
+        np.copyto(x, 0.0, where=at_zero)  # x to the 0 is 1, also where x = 0 (log -inf)
+        terms.append(np.multiply(x, power, out=x))
+    return *terms, sign
 
 
-def _class_vectors(factors: tuple, lo: int, hi: int) -> tuple:
-    """Per count k = lo..hi, the (a0, b0) of one class with `factors` at P points over flip
-    counts j = 0..k, binomial C(k, j) included, divided by their largest C(k, j) a0(j): a
-    (2, P, k+1) view of one table over the cells of `_cells`; and the logs s of those
+def _class_vectors(factors: tuple, spans: tuple) -> tuple:
+    """Per count k of segments `spans` (`log_vectors`), the (a0, b0) of its class at P points
+    over flip counts j = 0..k, binomial C(k, j) included, divided by their largest C(k, j) a0(j):
+    a (2, P, k+1) view of one table over the cells of `_cells(spans)`; and the logs s of those
     largest values, (P, counts)."""
-    _, _, log_c, _, sizes, _, _, starts = _cells(lo, hi)
-    j_term, k_less_j_term, sign_b0 = log_vectors(factors, lo, hi)
-    log_ab0 = j_term + log_c
+    _, _, log_c, _, sizes, *_, starts, slices = _cells(spans)
+    log_ab0, k_less_j_term, sign_b0 = log_vectors(factors, spans)
+    log_ab0 += log_c
     log_ab0 += k_less_j_term
     s = np.maximum.reduceat(log_ab0[0], starts, axis=1)
     log_ab0 -= np.repeat(s, sizes, axis=1)
     out = np.exp(log_ab0, out=log_ab0)
     out[1] *= sign_b0
-    return [out[..., a:a + k + 1] for k, a in zip(range(lo, hi + 1), starts)], s
+    return [out[..., cells] for cells in slices], s
 
 
 def _conditionals(front: np.ndarray, mirror: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -315,19 +333,19 @@ def _entries(log_w: np.ndarray, probs: np.ndarray, big_m: int, walk):
     of the counts before the last and of the last, the cells (2, P, cells) of those before the
     last (None if all are 0) and the last class's vector.  An entry does not depend on the walk."""
     n, points = log_w.shape
-    classes = list(zip(*factors(probs)))  # six (P,) arrays per class
+    classes = factors(probs)  # six (n, P) arrays
     # A class's counts are built in ranges of `span` when the walk first takes one; a small
     # code's range holds them all, and a range stays within CELL_BUDGET.
     lo, span = 1 if n > 1 else big_m, max(1, CELL_BUDGET // (points * (big_m + 1)))
-    vectors = [{} for _ in classes[1:]] + [{0: (np.ones((2, points, 1)), np.zeros(points))}]  # a last count of 0
+    vectors = [{} for _ in range(n - 1)] + [{0: (np.ones((2, points, 1)), np.zeros(points))}]  # a last count of 0
 
     def vector(t: int, k: int) -> tuple:
         """Class t's scaled vectors at count k and their log scale less lgamma(k + 1)."""
         if k not in vectors[t]:
             a = k - (k - lo) % span
             b = min(a + span - 1, big_m)
-            views, s = _class_vectors(classes[t], a, b)
-            counts, log_fact = _cells(a, b)[5:7]
+            views, s = _class_vectors([f[t:t + 1] for f in classes], ((a, b),))
+            counts, log_fact = _cells(((a, b),))[5:7]
             vectors[t].update(zip(range(a, b + 1), zip(views, counts * log_w[t] + s.T - log_fact)))
         return vectors[t][k]
 
@@ -463,17 +481,23 @@ def certified_sums(log_w: np.ndarray, probs: np.ndarray, big_m: int) -> tuple:
 def cat_sums(probs: np.ndarray, lengths) -> np.ndarray:
     """`rate_sums` of cat codes, one class of weight 1 each: code l over lengths[l] blocks on
     channels probs[l] (P, 4), as (L, P) in one pass, each row bit for bit that code's alone.
-    Each code is one entry of `_runs`: the vector and scales of its one composition."""
+    Each code is one entry of `_runs`, and the vectors of a run's codes are one table, a segment
+    of one count per code: at most CELL_BUDGET points x cells, or one larger code."""
     points = probs.shape[1]
     sums = np.zeros((len(lengths), points))  # 0.0 + each code's term, as in `rate_sums`
+    ends = list(accumulate((m + 1 for m in lengths), initial=0))  # cells of the codes before l
 
     def entries(classes: tuple):  # six (L, P) arrays
-        for code, m in enumerate(lengths):
-            [vec], log_s = _class_vectors([f[code] for f in classes], m, m)
-            log_m = math.lgamma(m + 1)
-            yield np.full(vec.shape[1], log_m), log_s[:, 0] - log_m, None, vec
+        a, cap = 0, CELL_BUDGET // classes[0].shape[1]
+        while a < len(lengths):
+            b = max(a + 1, bisect.bisect_right(ends, ends[a] + cap) - 1)  # codes a..b-1 fill a run
+            spans = tuple((m, m) for m in lengths[a:b])
+            views, log_s = _class_vectors([f[a:b] for f in classes], spans)
+            log_m = _cells(spans)[6]  # lgamma(m + 1), (codes, 1)
+            yield from zip(log_m, log_s.T - log_m, repeat(None), views)
+            a = b
 
-    for s in _slices(points, max(capped_counts(1, m)[1] for m in lengths)):
+    for s in _slices(points, capped_counts(1, max(lengths))[1]):
         sums[:, s] += np.concatenate([*_runs(entries(factors(probs[:, s])), s.stop - s.start)])
     return sums
 
@@ -483,7 +507,7 @@ def inner_ensemble(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     given in the code's frame: log weights (n, P), with -inf for a class of
     probability 0, and conditional logical channels (n, P, 4) in slot order
     I, X, Y, Z (noiseless for a class of probability 0)."""
-    [vec], s = _class_vectors(factors(probs), n, n)
+    [vec], s = _class_vectors(factors(probs[None]), ((n, n),))
     cond, weight = _conditionals(vec[..., :n], vec[..., :0:-1])
     zero = weight == 0.0
     cond /= 2.0 * np.where(zero, 1.0, weight)

@@ -6,17 +6,18 @@ syndrome vector depends only on the syndrome's Hamming weight r, so all
 quantities are computed over the m weight classes instead of the 2^(m-1)
 syndrome vectors.
 
-Everything here comes from the shared numpy kernel (`_kernel`).  `_cats_rates` is
-its one-class rate sum of several codes in one pass (`_kernel.cat_sums`: each code is
-one entry of the run former that concatenated codes' compositions go through too, and
-its row is bit for bit `rate_sums` of one class of log weight 0), each over the rows of
-its own (P, 4) probability array in the code's frame (`_frame`, the one slot rule of
-cat, inner and outer codes); `_cat_rates` is that pass at one code, and `cat_rate` at
-one channel.  `syndrome_classes`, `joint_prob` and `induced_channel`
-read the class probabilities from the sum of the kernel's unscaled log-domain terms
-over flip counts (`_kernel.log_vectors`), and `joint_prob_hetero` forms the same
-two products for position-dependent channels; the tests and `catcodes verify`
-check both against brute force.
+Everything here comes from the shared numpy kernel (`_kernel`).  `_cats_rates` is its
+one-class rate sum of several codes in one pass (`_kernel.cat_sums`: each code is an
+entry of the run former that concatenated codes' compositions go through too, a run's
+codes share one table of class vectors, and each row is bit for bit `rate_sums` of one
+class of log weight 0), each over the rows of its own (P, 4) probability array, put in
+the code's frame by one gather (`_slots`, the one slot rule of cat, inner and outer
+codes); `_cat_rates` is that pass at one code, and `cat_rate` at one channel.
+`syndrome_classes`, `joint_prob` and `induced_channel` read the class probabilities
+from the sum of the kernel's unscaled log-domain terms over flip counts
+(`_kernel.log_vectors`), and `joint_prob_hetero` forms the same two products for
+position-dependent channels; the tests and `catcodes verify` check both against brute
+force.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def syndrome_classes(ch: PauliChannel, m: int) -> list[SyndromeClass]:
         raise ValueError(f"m must be >= 1, got {m}")
     # Class r's four joints are (a0 +- b0) / 2 at flip count j = r and
     # (a1 +- b1) / 2 at its mirror m - r, per syndrome vector (no binomial).
-    j_term, k_less_j_term, sign = _kernel.log_vectors(_kernel.factors(np.array([ch.probs])), m, m)
+    j_term, k_less_j_term, sign = _kernel.log_vectors(_kernel.factors(np.array([[ch.probs]])), ((m, m),))
     (log_a, log_b), sign_b = (j_term + k_less_j_term)[:, 0].tolist(), sign[0].tolist()
     classes = []
     multiplicity = 1  # C(m-1, r), updated exactly
@@ -175,10 +176,10 @@ def induced_channel(sc: SyndromeClass) -> PauliChannel:
     return PauliChannel(*(math.exp(j.logmag - total.logmag) for j in sc.joint))
 
 
-def _frame(probs: np.ndarray, spec: CatCodeSpec) -> np.ndarray:
-    """Channels (..., 4) in the frame of the code `spec`, their slots read by `BASIS_SLOTS`; a
-    length-1 code has no stabilizers, so its frame is the physical one in any basis."""
-    return probs[..., BASIS_SLOTS[spec.basis]] if spec.m > 1 else probs
+def _slots(spec: CatCodeSpec) -> tuple:
+    """The slots that put channels (..., 4) into the frame of the code `spec`, as `BASIS_SLOTS`
+    reads them; a length-1 code has no stabilizers, so its frame is the physical one in any basis."""
+    return BASIS_SLOTS[spec.basis if spec.m > 1 else Basis.Z]
 
 
 def _cats_rates(probs: np.ndarray, specs) -> np.ndarray:
@@ -189,8 +190,8 @@ def _cats_rates(probs: np.ndarray, specs) -> np.ndarray:
     Achievable rate per Eq.-(5)-style conditional coherent-information
     accounting over syndrome weight classes.
     """
-    lengths = [spec.m for spec in specs]
-    framed = np.array([_frame(rows, spec) for rows, spec in zip(probs, specs)])
+    lengths, slots = [spec.m for spec in specs], [_slots(spec) for spec in specs]
+    framed = probs[np.arange(len(slots))[:, None], :, slots].transpose(0, 2, 1)  # one gather, (L, 4, P)
     return _kernel.cat_sums(framed, lengths) / np.array(lengths)[:, None]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernel
 from ._kernel import MAX_CELLS, MAX_COMPOSITIONS, CompositionLimitError  # noqa: F401 (names kept public here)
-from .catcode import CatCodeSpec, _frame
+from .catcode import CatCodeSpec, _slots
 from .channels import PauliChannel
 
 
@@ -40,7 +40,7 @@ def induced_ensemble(ch: PauliChannel, spec: CatCodeSpec) -> tuple[tuple[float, 
     with weight 0 and a noiseless placeholder channel; a weight of 0 alone does
     not mark such a class, since exp of a finite log weight below about -745
     underflows to 0 too."""
-    log_w, cond = _kernel.inner_ensemble(_frame(np.array([ch.probs]), spec), spec.m)
+    log_w, cond = _kernel.inner_ensemble(np.array([ch.probs])[:, _slots(spec)], spec.m)
     return tuple((math.exp(lw), PauliChannel(*c))
                  for lw, c in zip(log_w[:, 0].tolist(), cond[:, 0].tolist()))
 
@@ -57,8 +57,8 @@ def _outer_classes(probs: np.ndarray, spec: ConcatSpec) -> tuple:
     of checked probabilities: the inner code's syndrome-weight classes, their channels in the
     outer code's frame, and the outer length.  The caps are checked first."""
     _counts(spec)  # checks the caps before the inner ensemble is built
-    log_w, cond = _kernel.inner_ensemble(_frame(probs, spec.inner), spec.inner.m)
-    return log_w, _frame(cond, spec.outer), spec.outer.m
+    log_w, cond = _kernel.inner_ensemble(probs[:, _slots(spec.inner)], spec.inner.m)
+    return log_w, cond[..., _slots(spec.outer)], spec.outer.m
 
 
 def _concat_rates(probs: np.ndarray, spec: ConcatSpec) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import takewhile
 from typing import Optional, Union
 
 import numpy as np
@@ -35,8 +37,8 @@ BISECTION_LEVELS_PER_BATCH = 3
 # two-Pauli, 5-in-8 (24,310) 1.05-1.07, 2-in-45 (17,296) 1.09 on 9:1, 4-in-10 (19,448)
 # 1.08, 3-in-15 1.04, and 5-in-5 (2,002) 1.13-1.44.
 CERTIFIED_PRE_SCAN_CELLS = 40_000
-# Lengths whose threshold searches `best_threshold_scan` advances together: each search holds
-# its evaluated points, and the kernel caches the count tables of 64 lengths (`_kernel._cells`).
+# Lengths whose threshold searches `best_threshold_scan` advances together, which bounds the
+# evaluated points their searches hold at once.
 _LOCKSTEP_LENGTHS = 64
 
 
@@ -108,9 +110,13 @@ def _predicted_crossing(known: dict[float, float], lo: float, hi: float) -> Opti
     if lo not in known or hi not in known:
         return None
     f_lo, f_hi = known[lo], known[hi]
-    outside = [p for p in known if not lo <= p <= hi]
-    if outside:
-        p = min(outside, key=lambda p: max(lo - p, p - hi))
+    points = sorted(known)
+    # Distances grow outward from the bracket, if only weakly; of the nearest, the first evaluated.
+    below, above = points[:bisect.bisect_left(points, lo)][::-1], points[bisect.bisect_right(points, hi):]
+    gap = min([lo - p for p in below[:1]] + [p - hi for p in above[:1]], default=None)
+    if gap is not None:
+        near = {*takewhile(lambda p: lo - p == gap, below), *takewhile(lambda p: p - hi == gap, above)}
+        p = next(p for p in known if p in near) if len(near) > 1 else near.pop()
         f = known[p]
         if f not in (f_lo, f_hi):
             x = (
@@ -296,17 +302,18 @@ def _thresholds(family: ChannelFamily, specs: list[CatCodeSpec], tol: float) -> 
     if len(specs) > _LOCKSTEP_LENGTHS:
         head, tail = specs[:_LOCKSTEP_LENGTHS], specs[_LOCKSTEP_LENGTHS:]
         return _thresholds(family, head, tol) + _thresholds(family, tail, tol)
-    searches = {spec: _search(family, tol) for spec in specs}
-    rates, results, failed = dict.fromkeys(specs), {}, None  # None starts a search
+    searches = [_search(family, tol) for _ in specs]
+    rates, results, failed = dict.fromkeys(range(len(specs))), [None] * len(specs), None  # None starts a search
     while rates:
         asks = {}
-        for spec, row in rates.items():
+        for i, row in rates.items():
             try:
-                ps = searches[spec].send(row)
-                _counts(spec)  # a code over a cap fails at its first batch
-                asks[spec] = ps
+                ps = searches[i].send(row)
+                if row is None:
+                    _counts(specs[i])  # a code over a cap fails at its first batch
+                asks[i] = ps
             except StopIteration as done:
-                results[spec] = done.value
+                results[i] = done.value
             except Exception as error:
                 failed = error  # shorter than any failed before: the longer codes stop here
                 break
@@ -314,11 +321,11 @@ def _thresholds(family: ChannelFamily, specs: list[CatCodeSpec], tol: float) -> 
         if asks:
             width = max(map(len, asks.values()))
             ps = [batch + batch[-1:] * (width - len(batch)) for batch in asks.values()]
-            rows = _cats_rates(family_probs(family, ps).reshape(len(ps), width, 4), list(asks))
-            rates = {spec: row[:len(batch)] for (spec, batch), row in zip(asks.items(), rows)}
+            rows = _cats_rates(family_probs(family, ps).reshape(len(ps), width, 4), [specs[i] for i in asks])
+            rates = {i: row[:len(batch)] for (i, batch), row in zip(asks.items(), rows)}
     if failed is not None:
         raise failed
-    return [results[spec] for spec in specs]
+    return results
 
 
 def best_threshold_scan(

@@ -335,20 +335,32 @@ def test_class_tables_equal_the_per_count_reference(points):
     # of that count's vectors built on their own, and so do the logs s of their maxima
     # (the callers' scale terms are covered by the rate_sums references).  Ranges: 1..M,
     # their upper halves and single counts for every M <= 40, and the 4096-cat's one
-    # count.  The inputs cover zero probabilities, beta < 0 and bbar < 0.
+    # count.  One table over segments of every class, each a range of counts (some of
+    # one count, as cat codes take them) at its own row, holds the same bits.  The inputs
+    # cover zero probabilities, beta < 0 and bbar < 0.
     probs = np.array([ch.probs for ch in random_channels(20261019, 10) + EDGE_CHANNELS])
     # A point's bits do not depend on its batch, so one point at a time takes fewer rows.
     batches = [probs] if points == len(probs) else [row[None] for row in probs[::2]]
     classes = [f for batch in batches for f in edge_classes(batch)]
     assert any(f[4].any() for f in classes) and any(f[5].any() for f in classes)
     ranges = [(lo, hi) for hi in range(1, 41) for lo in sorted({1, hi // 2 + 1, hi})] + [(4096, 4096)]
-    for f in classes:
-        want = {k: reference_class_vectors(f, k) for k in list(range(1, 41)) + [4096]}
+    want = [{k: reference_class_vectors(f, k) for k in list(range(1, 41)) + [4096]} for f in classes]
+
+    def check(rows, spans, first=0):  # rows: six (segments, P), segment i of class first + i
+        tables, s = _kernel._class_vectors(rows, spans)
+        counts = [(first + i, k) for i, (lo, hi) in enumerate(spans) for k in range(lo, hi + 1)]
+        for (t, k), table, s_k in zip(counts, tables, s.T, strict=True):
+            assert np.array_equal(float_bits(table), float_bits(want[t][k][0]))
+            assert np.array_equal(float_bits(s_k), float_bits(want[t][k][1]))
+
+    for t, f in enumerate(classes):
         for lo, hi in ranges:
-            tables, s = _kernel._class_vectors(f, lo, hi)
-            for k, table, s_k in zip(range(lo, hi + 1), tables, s.T, strict=True):
-                assert np.array_equal(float_bits(table), float_bits(want[k][0]))
-                assert np.array_equal(float_bits(s_k), float_bits(want[k][1]))
+            check([x[None] for x in f], ((lo, hi),), t)
+    segments = tuple(ranges[7 * t % (len(ranges) - 1)] for t in range(len(classes)))
+    assert len(set(segments)) > 1 and any(lo == hi for lo, hi in segments)
+    rows = [np.array(x) for x in zip(*classes)]
+    check(rows, segments)
+    check([x[2:] for x in rows], segments[2:], 2)
 
 
 @pytest.mark.dispatch
@@ -359,7 +371,7 @@ def test_the_sign_of_a_zero_b_cell_does_not_change_the_conditionals():
     # |b| <= a, so a +- b is the same float with either zero: a +- 0 = a for a != 0,
     # and every sum is +0 for a = +0.  The inputs have beta = 0 with bbar < 0.
     probs = np.array([ch.probs for ch in random_channels(20261019, 10) + EDGE_CHANNELS])
-    tables = [_kernel._class_vectors(f, 1, 5)[0] for f in edge_classes(probs)]
+    tables = [_kernel._class_vectors([x[None] for x in f], ((1, 5),))[0] for f in edge_classes(probs)]
     negative_zeros = 0
     for t, (left, right) in enumerate(zip(tables, tables[1:] + tables[:1])):
         for x, y in ((left[t % 5], right[4 - t % 5]), (left[4], right[2])):
@@ -481,6 +493,42 @@ def test_several_cat_codes_in_one_pass_equal_each_code_alone(monkeypatch):
     assert 35 * (1000 + 2) // 2 > _kernel.CELL_BUDGET  # the 1000-cat's first half takes chunks
     assert len(pass_runs) > 2 and max(pass_runs) > 1 and pass_runs.count(1) >= 2
     assert sum(pass_runs) == len(many)
+
+
+@pytest.mark.dispatch
+def test_a_round_over_several_table_groups_equals_each_code_alone(monkeypatch):
+    # `cat_sums` builds the vectors of consecutive codes as one table over their lengths, at
+    # most CELL_BUDGET points x cells unless one code alone is larger.  One `_cats_rates` round
+    # whose codes fill several such tables, with duplicate lengths, length 1 in bases X and Y
+    # (the physical frame) and the 1000-cat, a table of its own at 35 points; and the same
+    # codes at one point.  Each row must be `_cat_rates` of that code alone, bit for bit.
+    probs = np.array([ch.probs for ch in random_channels(20261022, 30) + EDGE_CHANNELS])
+    rng = np.random.default_rng(20261022)
+    tables = []
+    class_vectors = _kernel._class_vectors
+
+    def recorded(factors, spans):
+        tables.append((factors[0].shape[1], [hi for lo, hi in spans if lo == hi]))
+        return class_vectors(factors, spans)
+
+    monkeypatch.setattr(_kernel, "_class_vectors", recorded)
+    specs = ([CatCodeSpec(1, Basis.X), CatCodeSpec(1, Basis.Y), CatCodeSpec(1), CatCodeSpec(1, Basis.X)]
+             + [CatCodeSpec(m, list(Basis)[m % 3]) for m in list(range(2, 31)) + [30, 7, 1000, 7, 2, 40, 40]])
+    assert 35 * sum(spec.m + 1 for spec in specs) > 2 * _kernel.CELL_BUDGET
+    for points in (35, 1):
+        rows = np.array([probs[rng.choice(len(probs), points)] for _ in specs])
+        tables.clear()
+        got = catcode._cats_rates(rows, specs)
+        built = list(tables)
+        assert [m for _, lengths in built for m in lengths] == [spec.m for spec in specs]
+        for table_points, lengths in built:
+            assert table_points == points
+            assert len(lengths) == 1 or points * sum(m + 1 for m in lengths) <= _kernel.CELL_BUDGET
+        for spec, row, rates in zip(specs, rows, got, strict=True):
+            assert hexes(rates) == hexes(catcode._cat_rates(row, spec))
+        if points == 35:
+            assert len(built) > 2 and max(len(lengths) for _, lengths in built) > 1
+            assert [1000] in [lengths for _, lengths in built]
 
 
 def test_a_lockstep_scan_keeps_its_memory_small():

@@ -402,6 +402,59 @@ class TestBestLengthScan:
         assert best_m == 1 + max(range(40), key=lambda i: (want[i], -i))
 
 
+def interpolated(known, lo, hi, p) -> float:
+    """The inverse quadratic interpolation of `_predicted_crossing` through lo, hi and p."""
+    f_lo, f_hi, f = known[lo], known[hi], known[p]
+    return (lo * (f_hi / (f_lo - f_hi)) * (f / (f_lo - f)) + hi * (f_lo / (f_hi - f_lo)) * (f / (f_hi - f))
+            + p * (f_lo / (f - f_lo)) * (f_hi / (f - f_hi)))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("lo, hi, left, right, first", [
+    # the pre-scan bracket (17/64, 18/64) between two pre-scan points, one on each side
+    (17 / 64, 18 / 64, 16 / 64, 19 / 64, None),
+    # refined brackets whose nearest points are a pre-scan point and a later midpoint
+    (16.25 / 64, 16.5 / 64, 16 / 64, 16.75 / 64, 16 / 64),
+    (16.5 / 64, 16.75 / 64, 16.25 / 64, 17 / 64, 17 / 64),
+])
+def test_the_nearest_point_outside_ties_go_to_the_one_evaluated_first(lo, hi, left, right, first, order):
+    # `_predicted_crossing` interpolates through the evaluated point nearest outside the bracket;
+    # at equal distance it takes the one evaluated first, as `min` over `known` does.  The
+    # distances are exact dyadic fractions, so the two points tie.
+    assert lo - left == right - hi
+    rates = {lo: 0.3, hi: -0.1, left: 0.55, right: -0.4, 15 / 64: 0.7, 20 / 64: -0.6}
+    assert interpolated(rates, lo, hi, left) != interpolated(rates, lo, hi, right)
+    assert all(lo < interpolated(rates, lo, hi, p) < hi for p in (left, right))
+    points = sorted(rates, reverse=order == "descending")
+    if first is not None:  # the pre-scan points first, in either order, then the midpoints
+        later = [p for p in (lo, hi, left, right) if p != first and p * 64 % 1]
+        points = [p for p in points if p not in later] + later
+    known = {p: rates[p] for p in points}
+    want = first if first is not None else (left if order == "ascending" else right)
+    assert next(p for p in known if p in (left, right)) == want
+    assert search._predicted_crossing(known, lo, hi) == interpolated(known, lo, hi, want)
+
+
+def test_the_nearest_point_outside_is_min_over_the_evaluated_points(monkeypatch):
+    # Every prediction of the threshold searches of a scan interpolates through the point that
+    # `min` over `known` in evaluation order takes: the smallest distance, ties to the first
+    # evaluated.
+    predicted, calls = search._predicted_crossing, []
+
+    def recorded(known, lo, hi):
+        calls.append((dict(known), lo, hi, predicted(known, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(search, "_predicted_crossing", recorded)
+    best_threshold_scan(NINE_TO_ONE, Basis.Z, range(1, 41), tol=1e-12)
+    assert len(calls) > 80
+    for known, lo, hi, x in calls:
+        p = min((p for p in known if not lo <= p <= hi), key=lambda p: max(lo - p, p - hi))
+        f = known[p]
+        if f not in (known[lo], known[hi]) and lo < interpolated(known, lo, hi, p) < hi:
+            assert x == interpolated(known, lo, hi, p)
+
+
 def threshold_fields(result) -> tuple:
     return (result.p_star.hex(), tuple(x.hex() for x in result.bracket), result.evaluations,
             result.skipped, result.batches, result.warning)
